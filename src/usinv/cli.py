@@ -130,9 +130,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=["json", "table"], default="json")
         sp.add_argument("--json", action="store_const", const="json",
                         dest="format", help="shorthand for --format json")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (reserved; computations are "
-                             "deterministic single jobs)")
 
     closed = sub.add_parser("closed", help="closed pair-set operations")
     closed_sub = closed.add_subparsers(dest="subcommand", required=True)
@@ -142,7 +139,6 @@ def build_parser() -> _Parser:
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--out")
     ce.add_argument("--format", choices=["json", "table"], default="json")
-    ce.add_argument("--jobs", type=int, default=1)
 
     pt = sub.add_parser("point", help="build the wedge point")
     common(pt)
@@ -324,7 +320,7 @@ def _render_table(report: dict, stream) -> None:
     walk("", report)
 
 
-_IO_FLAGS = {"--out", "--format", "--jobs"}
+_IO_FLAGS = {"--out", "--format"}
 _IO_SWITCHES = {"--json"}
 
 

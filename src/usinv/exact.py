@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, exterior algebra,
-and fraction-free linear algebra.
+and sparse linear algebra on one incremental reduced row echelon form.
 
 All coefficients are `fractions.Fraction` or `GradedPoly` over Fraction; no
 floating point anywhere.  Wedge tuples are strictly increasing and 1-based;
@@ -150,12 +150,6 @@ class GradedPoly:
         if not self.terms:
             return -1
         return max(sum(e for _, e in m) for m in self.terms)
-
-    def homogeneous_part(self, d: int) -> "GradedPoly":
-        res = GradedPoly()
-        res.terms = {m: c for m, c in self.terms.items()
-                     if sum(e for _, e in m) == d}
-        return res
 
     def variables(self) -> set:
         vs = set()
@@ -509,136 +503,21 @@ class SparseMatrix:
     cols: int
     entries: dict = field(default_factory=dict)
 
-    def set(self, r: int, c: int, v) -> None:
-        v = Fraction(v)
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError("index out of range")
-        if v:
-            self.entries[(r, c)] = v
-        else:
-            self.entries.pop((r, c), None)
-
-    def get(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Q0)
-
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     @staticmethod
     def from_rows(rows: Sequence[Mapping[int, Fraction]], cols: int) -> "SparseMatrix":
-        m = SparseMatrix(len(rows), cols)
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                m.set(r, c, v)
-        return m
-
-    def mul_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        out = [Q0] * self.rows
-        for (r, c), a in self.entries.items():
-            out[r] += a * v[c]
-        return out
-
-
-def _integerize(row: Mapping[int, Fraction]) -> dict[int, int]:
-    if not row:
-        return {}
-    lcm = 1
-    for v in row.values():
-        d = v.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = {c: int(v * lcm) for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = _gcd(g, abs(v))
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _bareiss_echelon(rows: list[dict[int, int]], cols: int):
-    """Fraction-free forward elimination; returns (pivot rows, pivot cols)."""
-    pivot_rows: list[dict[int, int]] = []
-    pivot_cols: list[int] = []
-    prev = 1
-    work = [dict(r) for r in rows if r]
-    for col in range(cols):
-        piv_idx = None
-        for idx, r in enumerate(work):
-            if r.get(col):
-                piv_idx = idx
-                break
-        if piv_idx is None:
-            continue
-        piv = work.pop(piv_idx)
-        p = piv[col]
-        nxt = []
-        for r in work:
-            a = r.get(col, 0)
-            # one-step fraction-free update applies to every row; division by
-            # the previous pivot is exact by Sylvester's identity
-            new = {}
-            keys = set(piv) | set(r) if a else set(r)
-            for c in keys:
-                if c == col:
-                    continue
-                val = p * r.get(c, 0) - a * piv.get(c, 0)
-                if val:
-                    q, rem = divmod(val, prev)
-                    if rem:
-                        raise ArithmeticError("inexact division in Bareiss step")
-                    new[c] = q
-            if new:
-                nxt.append(new)
-        work = nxt
-        pivot_rows.append(piv)
-        pivot_cols.append(col)
-        prev = p
-    return pivot_rows, pivot_cols
-
-
-def rank(m: SparseMatrix) -> int:
-    rows = [_integerize(r) for r in m.row_dicts()]
-    _, pivot_cols = _bareiss_echelon(rows, m.cols)
-    return len(pivot_cols)
-
-
-def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
-    """Deterministic kernel basis in reduced echelon form.
-
-    Each free column yields one basis vector with a 1 in that column; pivot
-    coordinates are filled by exact back substitution.
-    """
-    rows = [_integerize(r) for r in m.row_dicts()]
-    pivot_rows, pivot_cols = _bareiss_echelon(rows, m.cols)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [Q0] * m.cols
-        vec[f] = Q1
-        for prow, pcol in reversed(list(zip(pivot_rows, pivot_cols))):
-            s = Q0
-            for c, v in prow.items():
-                if c != pcol:
-                    s += v * vec[c]
-            vec[pcol] = -s / prow[pcol]
-        basis.append(vec)
-    return basis
+        entries = {(r, c): Fraction(v) for r, row in enumerate(rows)
+                   for c, v in row.items() if v}
+        return SparseMatrix(len(rows), cols, entries)
 
 
 class RowEchelon:
     """Incremental reduced row echelon form over Fraction, with arbitrary
-    mutually comparable keys as coordinates.  Used for span membership."""
+    mutually comparable keys as coordinates.
+
+    Invariant: each pivot row has its least key as pivot, with coefficient 1
+    there, and no entry at any other pivot key.  This is the only elimination
+    engine: span membership, ranks and kernels all go through it.
+    """
 
     def __init__(self):
         self.pivots: dict = {}  # pivot key -> normalized row dict
@@ -648,19 +527,17 @@ class RowEchelon:
         return len(self.pivots)
 
     def reduce(self, vec: Mapping) -> dict:
+        """Remainder of vec after clearing every pivot key; pivot rows carry
+        no other pivot keys, so one pass over those keys suffices."""
         out = {k: Fraction(v) for k, v in vec.items() if v}
-        while out:
-            key = min(out)
-            prow = self.pivots.get(key)
-            if prow is None:
-                return out
+        for key in [k for k in out if k in self.pivots]:
             c = out[key]
-            for k, v in prow.items():
+            for k, v in self.pivots[key].items():
                 s = out.get(k, Q0) - c * v
                 if s:
                     out[k] = s
                 else:
-                    out.pop(k, None)
+                    del out[k]
         return out
 
     def add(self, vec: Mapping) -> bool:
@@ -671,8 +548,8 @@ class RowEchelon:
         key = min(rem)
         inv = 1 / rem[key]
         row = {k: v * inv for k, v in rem.items()}
-        # keep fully reduced form
-        for pk, prow in self.pivots.items():
+        # clear the new pivot key from the other pivot rows
+        for prow in self.pivots.values():
             c = prow.get(key)
             if c:
                 for k, v in row.items():
@@ -680,12 +557,35 @@ class RowEchelon:
                     if s:
                         prow[k] = s
                     else:
-                        prow.pop(k, None)
+                        del prow[k]
         self.pivots[key] = row
         return True
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
+
+
+def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
+    """Deterministic kernel basis read off the reduced echelon form.
+
+    Each free column f yields one basis vector with 1 at f, 0 at every other
+    free column and -pivots[p][f] at each pivot column p.  The pivot columns
+    are the greedy column basis of m, so the basis depends only on m.
+    """
+    rows: list[dict] = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    ech = RowEchelon()
+    for row in rows:
+        ech.add(row)
+    basis = {f: [Q0] * m.cols for f in range(m.cols) if f not in ech.pivots}
+    for f, vec in basis.items():
+        vec[f] = Q1
+    for p, prow in ech.pivots.items():
+        for f, c in prow.items():
+            if f != p:
+                basis[f][p] = -c
+    return list(basis.values())
 
 
 def spans_equal(vectors_a: Iterable[Mapping], vectors_b: Iterable[Mapping]) -> bool:
@@ -713,6 +613,3 @@ def frac_str(c: Coeff) -> str:
     c = Fraction(c)
     return f"{c.numerator}/{c.denominator}"
 
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)

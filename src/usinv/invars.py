@@ -193,7 +193,6 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
     if len(monos) > cap:
         raise InvariantError(
             f"{len(monos)} monomials of degree {d} exceed the cap {cap}")
-    index = {m: c for c, m in enumerate(monos)}
     mats = subset_derivation_matrices(subset, family, rank)
     rows: dict = {}
     for a, A in enumerate(mats):

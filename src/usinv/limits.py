@@ -68,15 +68,6 @@ class Cocharacter:
         return all(x == 0 for x in self.weights)
 
 
-def validate_matrix_cochar(weights: Sequence[int], data: MatrixLieData) -> bool:
-    """Weights must lie in the rational span of the torus diagonals."""
-    from .exact import RowEchelon
-    ech = RowEchelon()
-    for T in data.torus_basis:
-        ech.add({i: T[i][i] for i in range(data.n) if T[i][i]})
-    return ech.contains({i: Fraction(w) for i, w in enumerate(weights) if w})
-
-
 @dataclass
 class LimitOutcome:
     kind: str                       # "converges" | "diverges"

@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (Matrix, MultiVector, Q0, Q1, SparseMatrix, Summand,
-                    eij, mat_add, mat_scale, nullspace, spans_equal,
-                    wedge_apply)
+                    mat_add, mat_scale, nullspace, spans_equal, wedge_apply)
+from .invars import subset_derivation_matrices
 from .points import WeightedPoint
-from .rootsys import MatrixLieData, root_subgroup_matrix
+from .rootsys import MatrixLieData
 from .subsets import ClosedSubset
 
 
@@ -166,15 +166,6 @@ def _flatten(M: Matrix) -> dict:
             if M[i][j]}
 
 
-def us_matrices(subset: ClosedSubset, family: str, rank: int) -> list:
-    """Generators of the root-subgroup span for S."""
-    if family == "A":
-        return [eij(subset.n, i, j) for (i, j) in subset.sorted_pairs()]
-    if subset.source_roots is None:
-        raise StabilizerError("B/C/D subsets need source roots")
-    return [root_subgroup_matrix(family, rank, r) for r in subset.source_roots]
-
-
 def _strict_upper_positions(n: int, sigma: tuple) -> list:
     inv = {v: i for i, v in enumerate(sigma)}
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
@@ -210,7 +201,7 @@ def compare_uS(report: StabilizerReport, subset: ClosedSubset, family: str,
                rank: int, sigma: Optional[tuple] = None) -> tuple:
     """(full equality, nilpotent-part equality) of the stabilizer vs u_S."""
     from .rootsys import flag_permutation
-    us = us_matrices(subset, family, rank)
+    us = subset_derivation_matrices(subset, family, rank)
     us_vecs = [_flatten(M) for M in us]
     stab_vecs = [_flatten(M) for M in report.basis]
     full = spans_equal(stab_vecs, us_vecs)

@@ -167,6 +167,15 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_jobs_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["closed", "enumerate", "--n", "3", "--jobs", "2"])
+    assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["stab", "--pairs", "corpus:trivial", "--jobs", "2"])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_unknown_corpus_reference(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["point", "--pairs", "corpus:missing"])

@@ -8,8 +8,8 @@ import pytest
 from usinv.exact import (GradedPoly, MultiVector, Q0, Q1, RowEchelon,
                          SparseMatrix, Summand, det, eij, exp_nilpotent,
                          identity, mat_add, mat_mul, mat_scale, nullspace,
-                         pvar, rank, sort_wedge, spans_equal, wedge_apply)
-from helpers import dense_nullity, random_rational_matrix
+                         pvar, sort_wedge, spans_equal, wedge_apply)
+from helpers import dense_nullity, dense_rank, random_rational_matrix
 
 
 def test_poly_arithmetic():
@@ -125,17 +125,34 @@ def test_exp_nilpotent_entries():
         exp_nilpotent(identity(2))
 
 
+def _sparse(M, cols):
+    return SparseMatrix.from_rows(
+        [{c: x for c, x in enumerate(row) if x} for row in M], cols)
+
+
+def _check_kernel(M, cols, basis):
+    """M v = 0 for every basis vector, the count matches the dense nullity,
+    and the basis is the canonical one: v has 1 at its own free column and 0
+    at every other free column, where a column is free when it adds nothing
+    to the rank of the columns before it."""
+    assert len(basis) == dense_nullity(M, cols)
+    free = [c for c in range(cols)
+            if dense_rank([row[:c + 1] for row in M])
+            == dense_rank([row[:c] for row in M])]
+    assert len(free) == len(basis)
+    for f, v in zip(free, basis):
+        assert len(v) == cols
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
+        assert [v[g] for g in free] == [Q1 if g == f else Q0 for g in free]
+
+
 def test_nullspace_identity_empty():
-    m = SparseMatrix(2, 2)
-    m.set(0, 0, 1)
-    m.set(1, 1, 1)
+    m = SparseMatrix.from_rows([{0: 1}, {1: 1}], 2)
     assert nullspace(m) == []
 
 
 def test_nullspace_one_dim():
-    m = SparseMatrix(1, 2)
-    m.set(0, 0, 1)
-    m.set(0, 1, -1)
+    m = SparseMatrix.from_rows([{0: 1, 1: -1}], 2)
     assert nullspace(m) == [[Q1, Q1]]
 
 
@@ -145,16 +162,31 @@ def test_nullspace_random_rank7():
     A = [[Fraction(rng.randint(-3, 3)) for _ in range(7)] for _ in range(10)]
     B = [[Fraction(rng.randint(-3, 3)) for _ in range(10)] for _ in range(7)]
     M = mat_mul(A, B)
-    m = SparseMatrix(10, 10)
-    for r in range(10):
-        for c in range(10):
-            m.set(r, c, M[r][c])
-    assert rank(m) == 7
-    basis = nullspace(m)
+    basis = nullspace(_sparse(M, 10))
     assert len(basis) == 3
-    for v in basis:
-        assert all(x == 0 for x in m.mul_vector(v))
-    assert dense_nullity([[M[r][c] for c in range(10)] for r in range(10)], 10) == 3
+    _check_kernel(M, 10, basis)
+
+
+def test_nullspace_seeded_sweep():
+    # rectangular, rank-deficient, zero rows, all-zero and zero-row matrices
+    rng = random.Random(7)
+    for rows in range(0, 7):
+        for cols in range(1, 8):
+            for _ in range(4):
+                k = rng.randint(0, min(rows, cols))
+                A = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                      for _ in range(k)] for _ in range(rows)]
+                B = [[Fraction(rng.randint(-2, 2)) for _ in range(cols)]
+                     for _ in range(k)]
+                M = [[sum((a * B[t][c] for t, a in enumerate(row)), start=Q0)
+                      for c in range(cols)] for row in A]
+                for r in range(rows):
+                    if rng.random() < 0.2:
+                        M[r] = [Q0] * cols
+                _check_kernel(M, cols, nullspace(_sparse(M, cols)))
+    assert nullspace(SparseMatrix.from_rows([], 3)) == [
+        [Q1, Q0, Q0], [Q0, Q1, Q0], [Q0, Q0, Q1]]
+    assert nullspace(SparseMatrix.from_rows([{}, {}], 2)) == [[Q1, Q0], [Q0, Q1]]
 
 
 def test_row_echelon_membership():
@@ -165,6 +197,13 @@ def test_row_echelon_membership():
     assert ech.rank == 2
     assert ech.contains({0: Fraction(5), 1: Fraction(-1)})
     assert not ech.contains({2: Q1})
+
+
+def test_row_echelon_fully_reduced():
+    ech = RowEchelon()
+    ech.add({1: 1})
+    ech.add({0: 1, 1: 1})
+    assert ech.pivots == {0: {0: Q1}, 1: {1: Q1}}
 
 
 def test_spans_equal():

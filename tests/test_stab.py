@@ -3,11 +3,12 @@
 import pytest
 
 from usinv.exact import MultiVector, eij, mat_eq, spans_equal
+from usinv.invars import InvariantError, subset_derivation_matrices
 from usinv.limits import Cocharacter, cochar_limit
 from usinv.points import build_point
 from usinv.rootsys import lie_algebra, parse_root
 from usinv.stab import (StabilizerError, annihilates, compare_uS,
-                        is_strictly_triangular, lie_stabilizer, us_matrices)
+                        is_strictly_triangular, lie_stabilizer)
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
                            enumerate_closed)
 from helpers import tensor_stabilizer_dimension
@@ -163,7 +164,7 @@ def test_basis_annihilates_reverified():
         assert annihilates(M, p)
 
 
-def test_us_matrices_bcd_requires_roots():
+def test_subset_derivation_matrices_bcd_requires_roots():
     S = ClosedSubset(4, frozenset({(1, 2)}))
-    with pytest.raises(StabilizerError):
-        us_matrices(S, "D", 2)
+    with pytest.raises(InvariantError):
+        subset_derivation_matrices(S, "D", 2)
