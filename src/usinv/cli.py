@@ -2,8 +2,10 @@
 reports, and the exit-code contract.
 
 Exit codes: 0 pass/converge/covered, 1 check failure, 2 undecided at the
-current truncation, 3 usage error.  Reports never contain timestamps, so
-identical inputs produce byte-identical output; elapsed time goes to stderr.
+current truncation, 3 usage error (including inputs that would make a check
+vacuous), 4 internal error (a failed self-check).  Reports never contain
+timestamps, so identical inputs produce byte-identical output; elapsed time
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .corpus import corpus_get, corpus_list, corpus_names
+from .exact import SelfCheckError
 from .invars import generation_check, invariant_space
 from .limits import Cocharacter, cochar_limit, grosshans_screen
 from .points import build_point, build_us
@@ -30,6 +33,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -239,6 +243,8 @@ def _cmd_stab(args) -> tuple:
 
 
 def _cmd_invariants(args) -> tuple:
+    if args.degree < 1:
+        raise UsageError("--degree must be positive")
     subset, family, rank = _resolve_subset(args)
     spaces = [invariant_space(subset, family, rank, d)
               for d in range(1, args.degree + 1)]
@@ -378,6 +384,9 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         sys.exit(EXIT_USAGE)
+    except SelfCheckError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        sys.exit(EXIT_INTERNAL)
     sys.exit(code)
 
 

@@ -18,6 +18,11 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+class SelfCheckError(RuntimeError):
+    """An internal self-check failed: a defect of the program, never of the
+    input, so it is deliberately not a ValueError."""
+
+
 def xvar(i: int, j: int) -> tuple:
     """Matrix-entry variable x_{ij} (1-based)."""
     return ("x", i, j)
@@ -121,7 +126,7 @@ class GradedPoly:
         out: dict[tuple, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = mono_mul(m1, m2)
                 s = out.get(m, Q0) + c1 * c2
                 if s:
                     out[m] = s
@@ -220,7 +225,7 @@ class GradedPoly:
         return out.replace("+ -", "- ")
 
 
-def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+def mono_mul(m1: tuple, m2: tuple) -> tuple:
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
@@ -237,9 +242,8 @@ Coeff = Union[Fraction, int, GradedPoly]
 
 
 def coeff_is_zero(c: Coeff) -> bool:
-    if isinstance(c, GradedPoly):
-        return c.is_zero()
-    return c == 0
+    # GradedPoly is falsy exactly when it has no terms
+    return not c
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +422,13 @@ class MultiVector:
         }
 
 
+def column_support(A: Matrix) -> list:
+    """Nonzero entries of A by column: entry j - 1 lists (row, value) of
+    column j, rows 1-based and ascending."""
+    return [[(r, a) for r, a in enumerate(col, start=1) if a]
+            for col in zip(*A)]
+
+
 def wedge_apply(A: Matrix, v: MultiVector, mode: str = "group") -> MultiVector:
     """Apply a matrix to a multivector.
 
@@ -428,16 +439,12 @@ def wedge_apply(A: Matrix, v: MultiVector, mode: str = "group") -> MultiVector:
     """
     if len(A) != v.n:
         raise ValueError("shape mismatch between matrix and multivector")
-    if mode == "group":
-        return MultiVector(v.n, [_apply_group(A, s) for s in v.summands])
-    if mode == "derivation":
-        return MultiVector(v.n, [_apply_derivation(A, s) for s in v.summands])
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _col_support(A: Matrix, i: int) -> list:
-    return [(r + 1, A[r][i - 1]) for r in range(len(A))
-            if not coeff_is_zero(A[r][i - 1])]
+    apply = {"group": _apply_group, "derivation": leibniz}.get(mode)
+    if apply is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    support = column_support(A)
+    return MultiVector(v.n, [Summand(s.k, s.label, apply(support, s.comps))
+                             for s in v.summands])
 
 
 def _add_term(comps: dict, t: tuple, c) -> None:
@@ -451,14 +458,10 @@ def _add_term(comps: dict, t: tuple, c) -> None:
         comps[t] = c
 
 
-def _apply_group(A: Matrix, s: Summand) -> Summand:
+def _apply_group(support: list, comps: Mapping) -> dict:
     out: dict = {}
-    cols = {}
-    for t, c in s.comps.items():
-        for i in t:
-            if i not in cols:
-                cols[i] = _col_support(A, i)
-        for choice in itertools.product(*(cols[i] for i in t)):
+    for t, c in comps.items():
+        for choice in itertools.product(*(support[i - 1] for i in t)):
             rows = tuple(r for r, _ in choice)
             st, sign = sort_wedge(rows)
             if sign == 0:
@@ -467,21 +470,22 @@ def _apply_group(A: Matrix, s: Summand) -> Summand:
             for _, a in choice:
                 prod = prod * a
             _add_term(out, st, prod if sign > 0 else -prod)
-    return Summand(s.k, s.label, out)
+    return out
 
 
-def _apply_derivation(A: Matrix, s: Summand) -> Summand:
+def leibniz(support: list, comps: Mapping) -> dict:
+    """Derivation image of sparse wedge components under the matrix with the
+    given column support: factor i of each tuple is replaced by every row r
+    of column i, and the tuple re-sorted with its sign."""
     out: dict = {}
-    for t, c in s.comps.items():
+    for t, c in comps.items():
         for pos, i in enumerate(t):
-            for r, a in _col_support(A, i):
-                new = t[:pos] + (r,) + t[pos + 1:]
-                st, sign = sort_wedge(new)
-                if sign == 0:
-                    continue
-                term = c * a
-                _add_term(out, st, term if sign > 0 else -term)
-    return Summand(s.k, s.label, out)
+            for r, a in support[i - 1]:
+                st, sign = sort_wedge(t[:pos] + (r,) + t[pos + 1:])
+                if sign:
+                    term = c * a
+                    _add_term(out, st, term if sign > 0 else -term)
+    return out
 
 
 def det(A: Matrix) -> Coeff:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, Q1, RowEchelon, SparseMatrix,
-                    coeff_is_zero, eij, nullspace, xvar)
+from .exact import (GradedPoly, Matrix, Q0, Q1, RowEchelon, SelfCheckError,
+                    SparseMatrix, column_support, eij, mono_mul, nullspace,
+                    xvar)
 from .rootsys import root_subgroup_matrix
 from .subsets import ClosedSubset, ColumnFamily, column_sets
 
@@ -34,8 +35,15 @@ def monomial_cap() -> int:
 
 def apply_derivation_poly(A: Matrix, f: GradedPoly) -> GradedPoly:
     """D_A f with D_A = sum_{i,j,k} A_{kj} x_{ik} d/dx_{ij}."""
-    out = GradedPoly()
-    for mono, c in f.terms.items():
+    return GradedPoly(derivation_terms(column_support(A), f.terms))
+
+
+def derivation_terms(support: list, terms: dict) -> dict:
+    """Terms of D_A f for the matrix A with the given column support: each
+    factor x_{ij} of a monomial becomes A_{kj} x_{ik}, accumulated into one
+    term dict."""
+    out: dict = {}
+    for mono, c in terms.items():
         for pos, (v, e) in enumerate(mono):
             if v[0] != "x":
                 continue
@@ -44,13 +52,14 @@ def apply_derivation_poly(A: Matrix, f: GradedPoly) -> GradedPoly:
                 rest = mono[:pos] + mono[pos + 1:]
             else:
                 rest = mono[:pos] + ((v, e - 1),) + mono[pos + 1:]
-            base = GradedPoly({rest: c * e})
-            repl = GradedPoly()
-            for k in range(len(A)):
-                a = A[k][j - 1]
-                if not coeff_is_zero(a):
-                    repl = repl + a * GradedPoly.var(xvar(i, k + 1))
-            out = out + base * repl
+            ce = c * e
+            for k, a in support[j - 1]:
+                m2 = mono_mul(rest, ((xvar(i, k), 1),))
+                s = out.get(m2, Q0) + ce * a
+                if s:
+                    out[m2] = s
+                else:
+                    out.pop(m2, None)
     return out
 
 
@@ -193,20 +202,19 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
     if len(monos) > cap:
         raise InvariantError(
             f"{len(monos)} monomials of degree {d} exceed the cap {cap}")
-    mats = subset_derivation_matrices(subset, family, rank)
+    supports = [column_support(A) for A in
+                subset_derivation_matrices(subset, family, rank)]
     rows: dict = {}
-    for a, A in enumerate(mats):
+    for a, support in enumerate(supports):
         for c, mono in enumerate(monos):
-            image = apply_derivation_poly(A, GradedPoly({mono: Q1}))
-            for m2, coeff in image.terms.items():
+            for m2, coeff in derivation_terms(support, {mono: Q1}).items():
                 rows.setdefault((a, m2), {})[c] = coeff
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], len(monos))
     basis = []
     for vec in nullspace(matrix):
         f = GradedPoly({monos[c]: v for c, v in enumerate(vec) if v})
-        for A in mats:
-            if not apply_derivation_poly(A, f).is_zero():
-                raise InvariantError("invariant basis element fails re-check")
+        if any(derivation_terms(support, f.terms) for support in supports):
+            raise SelfCheckError("invariant basis element fails re-check")
         basis.append(f)
     return InvariantSpace(d, basis, len(basis))
 
@@ -268,8 +276,10 @@ def generation_check(subset: ClosedSubset, family: str, rank: int,
     """
     if family != "A":
         raise InvariantError("generation check is implemented for family A")
-    if d < 0 or slack < 0:
-        raise InvariantError("degree and slack must be nonnegative")
+    if d < 1:
+        raise InvariantError("degree must be positive")
+    if slack < 0:
+        raise InvariantError("slack must be nonnegative")
     n = subset.n
     cols = column_sets(subset, family, rank)
     sigma = tuple(range(1, n + 1))

@@ -337,6 +337,8 @@ class ScreenReport:
 def cocharacter_grid(family: str, rank: int, radius: int):
     """All cocharacters with entries bounded by the radius, family
     constraints enforced, in lexicographic order of the weight vectors."""
+    if radius < 0:
+        raise LimitError("radius must be nonnegative")
     n = ambient_dim(family, rank)
     out = []
     if family == "A":

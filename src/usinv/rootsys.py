@@ -8,12 +8,13 @@ Q(e_n, e_n) = 1 when n = 2l+1), antisymmetric for C.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Matrix, Q1, RowEchelon, eij, mat_add, mat_scale, zeros
+from .exact import Matrix, Q1, RowEchelon, eij, zeros
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -130,9 +131,6 @@ class RootSystem:
     n: int
     positive_roots: tuple
 
-    def root_set(self) -> set:
-        return set(self.positive_roots)
-
 
 def ambient_dim(family: str, rank: int) -> int:
     if family == "A":
@@ -144,8 +142,10 @@ def ambient_dim(family: str, rank: int) -> int:
     raise RootSystemError(f"unsupported family {family!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def positive_roots(family: str, rank: int) -> RootSystem:
-    """All positive roots, sorted lexicographically on coefficient vectors."""
+    """All positive roots, sorted lexicographically on coefficient vectors.
+    Memoized: the result is immutable."""
     if family not in FAMILIES:
         raise RootSystemError(f"unsupported family {family!r}")
     if rank < 1 or (family == "D" and rank < 2):
@@ -205,8 +205,8 @@ def root_subgroup_matrix(family: str, rank: int, root: Root) -> Matrix:
     n = ambient_dim(family, rank)
     if root.n != n:
         raise RootSystemError("root has wrong ambient dimension")
-    system = positive_roots(family, rank)
-    if root not in system.root_set() and -root not in system.root_set():
+    roots = positive_roots(family, rank).positive_roots
+    if root not in roots and -root not in roots:
         raise RootSystemError(f"{root.name()} is not a root of {family}{rank}")
     sup = dict(root.support())
     if family == "A":
@@ -219,18 +219,13 @@ def root_subgroup_matrix(family: str, rank: int, root: Root) -> Matrix:
         ca, cb = sup[a], sup[b]
         if ca + cb == 0:
             if ca == 1:  # L_a - L_b
-                return mat_add(eij(n, a, b), mat_scale(eij(n, l + b, l + a), -Q1))
-            return mat_add(eij(n, b, a), mat_scale(eij(n, l + a, l + b), -Q1))
+                return _pair(n, (a, b), (l + b, l + a))
+            return _pair(n, (b, a), (l + a, l + b))
+        sign = Q1 if family == "C" else -Q1
         if ca == 1:  # L_a + L_b
-            second = eij(n, a, l + b)
-            if family != "C":
-                second = mat_scale(second, -Q1)
-            return mat_add(eij(n, b, l + a), second)
+            return _pair(n, (b, l + a), (a, l + b), sign)
         # -(L_a + L_b)
-        second = eij(n, l + b, a)
-        if family != "C":
-            second = mat_scale(second, -Q1)
-        return mat_add(eij(n, l + a, b), second)
+        return _pair(n, (l + a, b), (l + b, a), sign)
     (a,) = idx
     c = sup[a]
     if family == "C":
@@ -239,8 +234,15 @@ def root_subgroup_matrix(family: str, rank: int, root: Root) -> Matrix:
         return eij(n, l + a, a)
     # short roots of B
     if c == 1:
-        return mat_add(eij(n, a, n), mat_scale(eij(n, n, l + a), -Q1))
-    return mat_add(eij(n, l + a, n), mat_scale(eij(n, n, a), -Q1))
+        return _pair(n, (a, n), (n, l + a))
+    return _pair(n, (l + a, n), (n, a))
+
+
+def _pair(n: int, first: tuple, second: tuple, c=-Q1) -> Matrix:
+    """E_first + c * E_second for two distinct 1-based positions."""
+    M = eij(n, *first)
+    M[second[0] - 1][second[1] - 1] = c
+    return M
 
 
 def flag_permutation(family: str, rank: int) -> tuple:
@@ -273,10 +275,10 @@ class MatrixLieData:
     def __post_init__(self):
         if not self.sigma:
             object.__setattr__(self, "sigma", tuple(range(1, self.n + 1)))
+        entries = [{(i, j): B[i][j] for i in range(self.n) for j in range(self.n)
+                    if B[i][j]} for B in self.basis]
         ech = RowEchelon()
-        for k, B in enumerate(self.basis):
-            vec = {(i, j): B[i][j] for i in range(self.n) for j in range(self.n)
-                   if B[i][j]}
+        for k, vec in enumerate(entries):
             if not ech.add(vec):
                 raise RootSystemError(f"basis element {k} is linearly dependent")
         for T in self.torus_basis:
@@ -285,11 +287,18 @@ class MatrixLieData:
                     if i != j and T[i][j]:
                         raise RootSystemError("torus basis element is not diagonal")
         if self.form is not None:
-            from .exact import mat_is_zero, mat_mul, mat_transpose
-            for k, B in enumerate(self.basis):
-                skew = mat_add(mat_mul(mat_transpose(B), self.form),
-                               mat_mul(self.form, B))
-                if not mat_is_zero(skew):
+            form = [(i, j, q) for i, row in enumerate(self.form)
+                    for j, q in enumerate(row) if q]
+            for k, vec in enumerate(entries):
+                # B^T Q + Q B over the nonzero entries of B and Q
+                skew: dict = {}
+                for (i, j), b in vec.items():
+                    for r, c, q in form:
+                        if r == i:
+                            skew[j, c] = skew.get((j, c), 0) + b * q
+                        if c == i:
+                            skew[r, j] = skew.get((r, j), 0) + q * b
+                if any(skew.values()):
                     raise RootSystemError(
                         f"basis element {k} is not compatible with the form")
 
@@ -306,12 +315,10 @@ def lie_algebra(family: str, rank: int) -> MatrixLieData:
     """
     n = ambient_dim(family, rank)
     if family == "A":
-        torus = tuple(mat_add(eij(n, i, i), mat_scale(eij(n, i + 1, i + 1), -Q1))
-                      for i in range(1, n))
+        torus = tuple(_pair(n, (i, i), (i + 1, i + 1)) for i in range(1, n))
     else:
         l = rank
-        torus = tuple(mat_add(eij(n, i, i), mat_scale(eij(n, l + i, l + i), -Q1))
-                      for i in range(1, l + 1))
+        torus = tuple(_pair(n, (i, i), (l + i, l + i)) for i in range(1, l + 1))
     system = positive_roots(family, rank)
     basis = list(torus)
     for root in system.positive_roots:

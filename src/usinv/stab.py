@@ -10,12 +10,13 @@ against a direct tensor expansion at small alpha.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (Matrix, MultiVector, Q0, Q1, SparseMatrix, Summand,
-                    mat_add, mat_scale, nullspace, spans_equal, wedge_apply)
+from .exact import (Matrix, MultiVector, Q0, Q1, SelfCheckError, SparseMatrix,
+                    column_support, leibniz, nullspace, spans_equal,
+                    wedge_apply)
 from .invars import subset_derivation_matrices
 from .points import WeightedPoint
 from .rootsys import MatrixLieData
@@ -52,51 +53,45 @@ class StabilizerReport:
         return out
 
 
-def _summand_rows(B: Matrix, summand: Summand, n: int) -> dict:
-    """Coefficients of the derivation action of B on one wedge block."""
-    v = MultiVector(n, [summand])
-    w = wedge_apply(B, v, mode="derivation")
-    return dict(w.summands[0].comps)
+def _diagonal_prefixes(support: list, sigma: tuple, levels: int) -> list:
+    """Traces of the first k flag vectors in sigma-order, k = 1..levels."""
+    diag = {j: a for j, col in enumerate(support, start=1)
+            for r, a in col if r == j}
+    return list(itertools.accumulate(
+        (diag.get(j, Q0) for j in sigma[:levels]), initial=Q0))[1:]
 
 
-def _trace_prefix(B: Matrix, sigma: tuple, k: int) -> Fraction:
-    return sum((B[sigma[i] - 1][sigma[i] - 1] for i in range(k)), start=Q0)
-
-
-def _weighted_equations(p: WeightedPoint, basis: Sequence[Matrix]):
-    """Rows of the linear system for a weighted point (or a limit of one)."""
+def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
+    """Rows of the linear system for a weighted point (or a limit of one),
+    one column per basis element given by its column support."""
     rows: dict = {}
 
     def put(key, col, val):
         if val:
             row = rows.setdefault(key, {})
-            row[col] = row.get(col, Q0) + val
+            row[col] = row[col] + val if col in row else val
 
-    any_summand = any(not s.is_zero() for s in p.summands)
-    for r, B in enumerate(basis):
-        for k in range(1, p.levels + 1):
-            ft = p.flag_tuple(k)
-            flag_summand = Summand(k, f"f_{k}", {ft: Q1})
-            image = _summand_rows(B, flag_summand, p.n)
+    live = [s for s in p.summands if not s.is_zero()]
+    flags = [p.flag_tuple(k) for k in range(1, p.levels + 1)]
+    for r, support in enumerate(supports):
+        prefixes = _diagonal_prefixes(support, p.sigma, p.levels)
+        for k, ft in enumerate(flags, start=1):
+            image = leibniz(support, {ft: Q1})
             if p.flag_coeffs[k - 1]:
                 # surviving flag component: A f_k = 0
-                for t, c in image.items():
-                    put(("flag", k, t), r, c)
-            elif any_summand:
+                kind = "flag"
+            elif live:
                 # flag wedge must be an eigenvector of A
-                tr = _trace_prefix(B, p.sigma, k)
-                image = dict(image)
-                image[ft] = image.get(ft, Q0) - tr
-                for t, c in image.items():
-                    put(("eig", k, t), r, c)
-        if any_summand:
-            T = sum((_trace_prefix(B, p.sigma, k)
-                     for k in range(1, p.levels + 1)), start=Q0)
-            for s in p.summands:
-                if s.is_zero():
-                    continue
-                image = _summand_rows(B, Summand(s.k, s.label, dict(s.comps)), p.n)
-                image = dict(image)
+                kind = "eig"
+                image[ft] = image.get(ft, Q0) - prefixes[k - 1]
+            else:
+                continue
+            for t, c in image.items():
+                put((kind, k, t), r, c)
+        if live:
+            T = sum(prefixes, start=Q0)
+            for s in live:
+                image = leibniz(support, s.comps)
                 for t, c in s.comps.items():
                     image[t] = image.get(t, Q0) + s.alpha * T * c
                 for t, c in image.items():
@@ -104,52 +99,49 @@ def _weighted_equations(p: WeightedPoint, basis: Sequence[Matrix]):
     return rows
 
 
-def _multivector_equations(p: MultiVector, basis: Sequence[Matrix]):
+def _multivector_equations(p: MultiVector, supports: Sequence[list]):
     rows: dict = {}
-    for r, B in enumerate(basis):
-        for idx, s in enumerate(p.summands):
-            if s.is_zero():
-                continue
-            image = _summand_rows(B, Summand(s.k, s.label, dict(s.comps)), p.n)
-            for t, c in image.items():
-                key = ("mv", idx, t)
-                if c:
-                    rows.setdefault(key, {})[r] = c
+    live = [(idx, s) for idx, s in enumerate(p.summands) if not s.is_zero()]
+    for r, support in enumerate(supports):
+        for idx, s in live:
+            for t, c in leibniz(support, s.comps).items():
+                rows.setdefault(("mv", idx, t), {})[r] = c
     return rows
+
+
+def _combine(supports: Sequence[list], coeffs: Sequence, n: int) -> Matrix:
+    """The n x n matrix sum_r coeffs[r] * B_r, from the column supports."""
+    M = [[Q0] * n for _ in range(n)]
+    for support, c in zip(supports, coeffs):
+        if c:
+            for j, col in enumerate(support):
+                for i, a in col:
+                    M[i - 1][j] += c * a
+    return M
 
 
 def lie_stabilizer(p, algebra: MatrixLieData) -> StabilizerReport:
     """Solve A.p = 0 for A in the span of the algebra basis."""
     if isinstance(p, MultiVector):
-        if p.n != algebra.n:
-            raise StabilizerError("dimension mismatch")
-        if p.is_zero():
-            raise StabilizerError("point is zero")
-        rows = _multivector_equations(p, algebra.basis)
+        equations = _multivector_equations
     elif isinstance(p, WeightedPoint):
-        if p.n != algebra.n:
-            raise StabilizerError("dimension mismatch")
-        if p.is_zero():
-            raise StabilizerError("point is zero")
-        rows = _weighted_equations(p, algebra.basis)
+        equations = _weighted_equations
     else:
         raise StabilizerError(f"unsupported point type {type(p).__name__}")
-
+    if p.n != algebra.n:
+        raise StabilizerError("dimension mismatch")
+    if p.is_zero():
+        raise StabilizerError("point is zero")
+    supports = [column_support(B) for B in algebra.basis]
+    rows = equations(p, supports)
     d = len(algebra.basis)
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], d)
-    kernel = nullspace(matrix)
-    basis = []
-    for vec in kernel:
-        M = [[Q0] * algebra.n for _ in range(algebra.n)]
-        for r, c in enumerate(vec):
-            if c:
-                M = mat_add(M, mat_scale(algebra.basis[r], c))
-        basis.append(M)
+    basis = [_combine(supports, vec, algebra.n) for vec in nullspace(matrix)]
     report = StabilizerReport(dimension=len(basis), basis=basis,
                               algebra_dim=d)
     for M in basis:
         if not annihilates(M, p):
-            raise StabilizerError("reported basis element fails to annihilate")
+            raise SelfCheckError("reported basis element fails to annihilate")
     return report
 
 
@@ -157,7 +149,7 @@ def annihilates(A: Matrix, p) -> bool:
     """Exact check that the derivation action of A kills p."""
     if isinstance(p, MultiVector):
         return wedge_apply(A, p, mode="derivation").is_zero()
-    rows = _weighted_equations(p, [A])
+    rows = _weighted_equations(p, [column_support(A)])
     return all(all(not v for v in row.values()) for row in rows.values())
 
 
@@ -179,22 +171,16 @@ def nilpotent_intersection(report: StabilizerReport, sigma: tuple) -> list:
         return []
     n = len(report.basis[0])
     upper = set(_strict_upper_positions(n, sigma))
+    supports = [column_support(M) for M in report.basis]
     rows = {}
-    for r, M in enumerate(report.basis):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if (i, j) not in upper and M[i - 1][j - 1]:
-                    rows.setdefault((i, j), {})[r] = M[i - 1][j - 1]
+    for r, support in enumerate(supports):
+        for j, col in enumerate(support, start=1):
+            for i, a in col:
+                if (i, j) not in upper:
+                    rows.setdefault((i, j), {})[r] = a
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)],
                                     len(report.basis))
-    out = []
-    for vec in nullspace(matrix):
-        M = [[Q0] * n for _ in range(n)]
-        for r, c in enumerate(vec):
-            if c:
-                M = mat_add(M, mat_scale(report.basis[r], c))
-        out.append(M)
-    return out
+    return [_combine(supports, vec, n) for vec in nullspace(matrix)]
 
 
 def compare_uS(report: StabilizerReport, subset: ClosedSubset, family: str,

@@ -176,6 +176,8 @@ def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
 def enumerate_closed(n: int):
     """All transitively closed subsets of {(i,j): i<j}, sorted by cardinality
     then lexicographically."""
+    if n < 1:
+        raise SubsetError("enumeration needs n >= 1")
     if n > 6:
         raise SubsetError("enumeration is guarded to n <= 6")
     all_pairs = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from usinv.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, UsageError, main,
-                       parse_pairs, run)
+import usinv.invars
+import usinv.stab
+from usinv.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE,
+                       UsageError, main, parse_pairs, run)
+from usinv.exact import Q1
 from usinv.corpus import corpus_get, corpus_list, corpus_names
 
 
@@ -165,6 +168,57 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nope"])
     assert exc.value.code == EXIT_USAGE
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_screen_negative_radius_refused(capsys):
+    # an empty grid used to report total 0 and passed true
+    assert _exit_code(["screen", "--n", "3", "--pairs", "1:2",
+                       "--radius", "-1"]) == EXIT_USAGE
+    assert "radius" in capsys.readouterr().err
+
+
+def test_closed_enumerate_nonpositive_n_refused(capsys):
+    # n = -2 used to report count 1
+    assert _exit_code(["closed", "enumerate", "--n", "-2"]) == EXIT_USAGE
+    assert _exit_code(["closed", "enumerate", "--n", "0"]) == EXIT_USAGE
+
+
+def test_invariants_degree_zero_refused(capsys):
+    # used to exit 0 with an empty graded list
+    assert _exit_code(["invariants", "--n", "3", "--pairs", "1:2",
+                       "--degree", "0"]) == EXIT_USAGE
+    assert "degree" in capsys.readouterr().err
+
+
+def test_check_generation_degree_zero_refused(capsys):
+    # used to report covered: true
+    assert _exit_code(["check-generation", "--n", "3", "--pairs", "1:2",
+                       "--degree", "0"]) == EXIT_USAGE
+    assert "degree" in capsys.readouterr().err
+
+
+def test_stabilizer_self_check_failure_exits_internal(monkeypatch, capsys):
+    monkeypatch.setattr(usinv.stab, "annihilates", lambda A, p: False)
+    assert _exit_code(["stab", "--pairs", "corpus:boundary-example",
+                       "--weighted", "minimal"]) == EXIT_INTERNAL
+    assert "internal error: reported basis element fails to annihilate" in (
+        capsys.readouterr().err)
+
+
+def test_invariant_self_check_failure_exits_internal(monkeypatch, capsys):
+    # the sum of all x_ij is not killed by D_{E_12}, so the re-check fails
+    monkeypatch.setattr(usinv.invars, "nullspace",
+                        lambda m: [[Q1] * m.cols])
+    assert _exit_code(["invariants", "--n", "3", "--pairs", "1:2",
+                       "--degree", "1"]) == EXIT_INTERNAL
+    assert "internal error: invariant basis element fails re-check" in (
+        capsys.readouterr().err)
 
 
 def test_jobs_flag_removed(capsys):

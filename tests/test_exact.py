@@ -1,15 +1,17 @@
 """Exact substrate: polynomials, wedge algebra, nullspace."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from usinv.exact import (GradedPoly, MultiVector, Q0, Q1, RowEchelon,
-                         SparseMatrix, Summand, det, eij, exp_nilpotent,
-                         identity, mat_add, mat_mul, mat_scale, nullspace,
-                         pvar, sort_wedge, spans_equal, wedge_apply)
-from helpers import dense_nullity, dense_rank, random_rational_matrix
+                         SparseMatrix, Summand, column_support, det, eij,
+                         exp_nilpotent, identity, mat_add, mat_mul, mat_scale,
+                         nullspace, pvar, sort_wedge, spans_equal, wedge_apply)
+from helpers import (_wedge_derivation, dense_nullity, dense_rank,
+                     random_rational_matrix)
 
 
 def test_poly_arithmetic():
@@ -68,6 +70,51 @@ def test_wedge_derivation_single_survivor():
     v = MultiVector.pure(4, [((2, 4), "w")])
     w = wedge_apply(eij(4, 1, 2), v, mode="derivation")
     assert w == MultiVector.pure(4, [((1, 4), "w")])
+
+
+def _sparse_random_matrix(n, rng):
+    """random_rational_matrix with about half the entries cleared, and a
+    negative non-unit diagonal entry so every branch of the support shows."""
+    A = random_rational_matrix(n, rng)
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.5:
+                A[i][j] = Q0
+    k = rng.randrange(n)
+    A[k][k] = Fraction(-rng.randint(2, 5), rng.randint(2, 3))
+    return A
+
+
+def test_column_support_lists_nonzero_entries_by_column():
+    A = [[Q0, Fraction(2)], [Fraction(-1, 3), Q0], [Q1, Fraction(5, 2)]]
+    assert column_support(A) == [[(2, Fraction(-1, 3)), (3, Q1)],
+                                 [(1, Fraction(2)), (3, Fraction(5, 2))]]
+    assert column_support([[Q0, Q0], [Q0, Q0]]) == [[], []]
+
+
+def test_wedge_derivation_matches_oracle_sweep():
+    """Derivation mode against the slot-by-slot oracle of tests/helpers, over
+    seeded sparse and dense rational matrices and multi-term wedges."""
+    rng = random.Random(2024)
+    checked = 0
+    for n in range(2, 6):
+        for trial in range(8):
+            A = (random_rational_matrix(n, rng) if trial % 2
+                 else _sparse_random_matrix(n, rng))
+            for k in range(1, n + 1):
+                tuples = list(itertools.combinations(range(1, n + 1), k))
+                comps = {t: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                     rng.randint(1, 4))
+                         for t in rng.sample(tuples, min(3, len(tuples)))}
+                v = MultiVector(n, [Summand(k, "w", dict(comps))])
+                got = wedge_apply(A, v, mode="derivation").summands[0].comps
+                want: dict = {}
+                for t, c in comps.items():
+                    for key, val in _wedge_derivation(A, t, n).items():
+                        want[key] = want.get(key, Q0) + c * val
+                assert got == {t: c for t, c in want.items() if c}
+                checked += 1
+    assert checked == 8 * (2 + 3 + 4 + 5)
 
 
 def test_group_mode_multiplicative():

@@ -12,6 +12,8 @@ import pytest
 from usinv.cli import run
 
 D3_BOREL = "L1-L2,L1+L2,L1-L3,L1+L3,L2-L3,L2+L3"
+B3_BOREL = D3_BOREL + ",L1,L2,L3"
+C3_BOREL = D3_BOREL + ",2L1,2L2,2L3"
 
 GOLDEN = [
     ("point --pairs corpus:boundary-example --weighted minimal",
@@ -54,6 +56,14 @@ GOLDEN = [
      "4c39c1e49cd8bd259d5be24e26e5a443ee16ce13959fe25f95be0c2faea7f6c5"),
     (f"stab --family D --l 3 --roots {D3_BOREL} --weighted minimal",
      "b5a3f630ec05967830976fcc393e501de1b28b5355b57424f1290c535b0fc115"),
+    (f"stab --family B --l 3 --roots {B3_BOREL} --weighted minimal",
+     "74457c1e12dd17b45ff4b8cf3d37da50810a00416291051538f595b1df1389e5"),
+    (f"stab --family C --l 3 --roots {C3_BOREL} --weighted minimal",
+     "35bc16c66f14786ee4c790401e599549b795ec7f3f42d69e3ca178145eda8549"),
+    (f"screen --family B --l 3 --roots {B3_BOREL} --alpha minimal --radius 2",
+     "5a00c0beb13ad15ed5bfffaeafab7f9ecf1fda2ee44208451efbb9b2e7596486"),
+    ("invariants --n 4 --pairs 1:2,2:3,1:3 --degree 3",
+     "4480f191c08ef85c724651315503830a5d24f78056f7f9061474e9123e76974f"),
 ]
 
 

@@ -1,10 +1,12 @@
 """Derivations, invariant minors, graded invariant spaces, generation."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from usinv.exact import GradedPoly, xvar
+from usinv.exact import Q0, GradedPoly, xvar
 from usinv.invars import (InvariantError, Minor, apply_derivation_poly,
                           derivation, generation_check, invariant_space,
                           is_invariant_minor, minor_poly,
@@ -13,7 +15,8 @@ from usinv.invars import (InvariantError, Minor, apply_derivation_poly,
 from usinv.rootsys import parse_root
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
                            column_sets, enumerate_closed)
-from helpers import oracle_invariant_dimension
+from helpers import (dense_derivation_image, dense_monomials,
+                     oracle_invariant_dimension, random_rational_matrix)
 
 
 def x(i, j):
@@ -35,6 +38,47 @@ def test_derivation_leibniz():
     lhs = d12(f * g)
     rhs = d12(f) * g + f * d12(g)
     assert lhs == rhs
+
+
+def _mono_key(exponents, n):
+    """Sorted monomial key of a row-major exponent tuple over x_{11}..x_{nn}."""
+    return tuple((xvar(v // n + 1, v % n + 1), e)
+                 for v, e in enumerate(exponents) if e)
+
+
+def test_apply_derivation_poly_matches_dense_oracle():
+    """The sparse derivation against `dense_derivation_image`, for n = 2..4
+    and degree 1..3: single monomials and a multi-term polynomial, under
+    seeded rational matrices with zero, negative, non-unit and diagonal
+    entries."""
+    rng = random.Random(7)
+    for n in range(2, 5):
+        for d in range(1, 4):
+            monos = dense_monomials(n * n, d)
+            for trial in range(3):
+                A = random_rational_matrix(n, rng)
+                if trial == 0:
+                    A = [[a if rng.random() < 0.4 else Q0 for a in row]
+                         for row in A]
+                    A[0][0] = Fraction(-7, 3)
+                sample = rng.sample(monos, min(12, len(monos)))
+                for mono in sample:
+                    got = apply_derivation_poly(
+                        A, GradedPoly({_mono_key(mono, n): 1})).terms
+                    want = {_mono_key(m, n): c for m, c in
+                            dense_derivation_image(A, mono, n).items()}
+                    assert got == want
+                coeffs = [Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+                          for _ in sample]
+                f = GradedPoly({_mono_key(m, n): c
+                                for m, c in zip(sample, coeffs)})
+                want: dict = {}
+                for m, c in zip(sample, coeffs):
+                    for m2, v in dense_derivation_image(A, m, n).items():
+                        key = _mono_key(m2, n)
+                        want[key] = want.get(key, Q0) + c * v
+                assert apply_derivation_poly(A, f).terms == {
+                    k: v for k, v in want.items() if v}
 
 
 def test_derivation_rejects_diagonal_pair():

@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from usinv.exact import (det, exp_nilpotent, mat_add, mat_eq, mat_is_zero,
-                         mat_mul, mat_transpose)
+                         mat_mul, mat_scale, mat_transpose)
 from usinv.rootsys import (MatrixLieData, Root, RootSystemError,
                            bilinear_form,
                            find_generating_subsets, flag_permutation,
@@ -160,6 +160,37 @@ def test_matrix_lie_data_validates():
         MatrixLieData(n=4, basis=data.basis + (data.basis[0],),
                       torus_basis=data.torus_basis, form=data.form,
                       sigma=data.sigma)
+
+
+def test_matrix_lie_data_rejects_dependent_and_form_incompatible_bases():
+    for family, rank in (("B", 2), ("C", 2), ("D", 3), ("B", 3)):
+        data = lie_algebra(family, rank)
+        n = data.n
+        dependent = mat_add(data.basis[1], mat_scale(data.basis[-1],
+                                                     Fraction(-2, 3)))
+        with pytest.raises(RootSystemError, match="linearly dependent"):
+            MatrixLieData(n=n, basis=data.basis + (dependent,),
+                          torus_basis=data.torus_basis, form=data.form,
+                          sigma=data.sigma)
+        # E_11 - 2 E_{l+1,l+1} is diagonal and independent of the algebra,
+        # but not skew for the form; so is a two-entry root vector with one
+        # sign flipped
+        bad_torus = [list(row) for row in data.basis[0]]
+        bad_torus[rank][rank] = Fraction(-2)
+        r = max(k for k, B in enumerate(data.basis)
+                if sum(1 for row in B for e in row if e) == 2)
+        bad_root = [list(row) for row in data.basis[r]]
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if bad_root[i][j])
+        bad_root[i][j] = -bad_root[i][j]
+        for k, bad in ((0, bad_torus), (r, bad_root)):
+            basis = list(data.basis)
+            basis[k] = bad
+            with pytest.raises(RootSystemError, match=f"basis element {k} is "
+                               "not compatible with the form"):
+                MatrixLieData(n=n, basis=tuple(basis),
+                              torus_basis=data.torus_basis, form=data.form,
+                              sigma=data.sigma)
 
 
 def test_generating_subsets_sl():
