@@ -11,6 +11,7 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -118,7 +119,9 @@ def _alpha_arg(args):
                          f"'none', or a comma list of integers")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every run."""
     p = _Parser(prog="usinv", description=__doc__)
     p.add_argument("--version", action="version", version=f"usinv {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -350,8 +353,7 @@ def _echo_args(argv: Sequence[str]) -> list:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
+    args = build_parser().parse_args(list(argv))
     started = time.monotonic()
     code, results = _DISPATCH[args.command](args)
     report = {

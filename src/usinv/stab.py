@@ -137,20 +137,21 @@ def lie_stabilizer(p, algebra: MatrixLieData) -> StabilizerReport:
     d = len(algebra.basis)
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], d)
     basis = [_combine(supports, vec, algebra.n) for vec in nullspace(matrix)]
-    report = StabilizerReport(dimension=len(basis), basis=basis,
-                              algebra_dim=d)
-    for M in basis:
-        if not annihilates(M, p):
-            raise SelfCheckError("reported basis element fails to annihilate")
-    return report
+    # re-derive the equations from the reported matrices, one column each
+    if not _all_zero(equations(p, [column_support(M) for M in basis])):
+        raise SelfCheckError("reported basis element fails to annihilate")
+    return StabilizerReport(dimension=len(basis), basis=basis, algebra_dim=d)
 
 
 def annihilates(A: Matrix, p) -> bool:
     """Exact check that the derivation action of A kills p."""
     if isinstance(p, MultiVector):
         return wedge_apply(A, p, mode="derivation").is_zero()
-    rows = _weighted_equations(p, [column_support(A)])
-    return all(all(not v for v in row.values()) for row in rows.values())
+    return _all_zero(_weighted_equations(p, [column_support(A)]))
+
+
+def _all_zero(rows: dict) -> bool:
+    return not any(v for row in rows.values() for v in row.values())
 
 
 def _flatten(M: Matrix) -> dict:

@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, corpus, determinism, formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 import usinv.invars
 import usinv.stab
 from usinv.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE,
-                       UsageError, main, parse_pairs, run)
+                       UsageError, build_parser, main, parse_pairs, run)
 from usinv.exact import Q1
 from usinv.corpus import corpus_get, corpus_list, corpus_names
+from test_golden import GOLDEN
 
 
 def _run_capture(capsys, argv):
@@ -204,11 +206,34 @@ def test_check_generation_degree_zero_refused(capsys):
 
 
 def test_stabilizer_self_check_failure_exits_internal(monkeypatch, capsys):
-    monkeypatch.setattr(usinv.stab, "annihilates", lambda A, p: False)
+    # adding E_{n1} to every reported matrix moves e_1 off the flag
+    combine = usinv.stab._combine
+
+    def corrupted(supports, coeffs, n):
+        M = combine(supports, coeffs, n)
+        M[n - 1][0] += Q1
+        return M
+
+    monkeypatch.setattr(usinv.stab, "_combine", corrupted)
     assert _exit_code(["stab", "--pairs", "corpus:boundary-example",
                        "--weighted", "minimal"]) == EXIT_INTERNAL
     assert "internal error: reported basis element fails to annihilate" in (
         capsys.readouterr().err)
+
+
+def test_parser_reused_across_commands(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["stab", "--pairs", "corpus:trivial", "--no-such-flag"])
+    assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    command = "stab --pairs corpus:boundary-example --weighted minimal"
+    run(command.split())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN)[command]
 
 
 def test_invariant_self_check_failure_exits_internal(monkeypatch, capsys):

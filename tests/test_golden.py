@@ -64,6 +64,20 @@ GOLDEN = [
      "5a00c0beb13ad15ed5bfffaeafab7f9ecf1fda2ee44208451efbb9b2e7596486"),
     ("invariants --n 4 --pairs 1:2,2:3,1:3 --degree 3",
      "4480f191c08ef85c724651315503830a5d24f78056f7f9061474e9123e76974f"),
+    ("stab --n 6 --pairs 1:3,1:5,2:4,2:6,3:5,4:6 --weighted minimal",
+     "5c4191c10b0c3eef06df41f9669fddd183e9024488587fb75d65c28399202d42"),
+    ("stab --n 6 --pairs 1:2,1:3,1:4,1:5,1:6,2:3,4:5 --weighted minimal",
+     "e99f4e27223615f5c1c16efee3a50d648e0aaa14cf9e4e901644b9bdace242ba"),
+    ("stab --family B --l 3 --roots L1+L2,L1+L3,L1,L1-L3 --weighted minimal",
+     "1af648c15fd8fa6d69b0894d94b44afaac6e0dfb9e0bf8f1453ccd7137f57091"),
+    ("stab --family C --l 3 --roots 2L1,L1+L2,L1+L3,L1-L3 --weighted minimal",
+     "ee770d4fb251e2fe5569c9c448041647c906dd3076ea3d5d10c59998c1d05cc1"),
+    ("stab --family D --l 3 --roots L1+L2,L1+L3,L1-L3,L2+L3 --weighted minimal",
+     "f20da61b5d2d027200bce55d8a266ebb6ca18b0f85b6a6d6aac58487dc353537"),
+    ("stab --n 4 --pairs 1:3,2:4",
+     "c5ce42a1a54da7faf2e309279ab6969372417f450dea4076bc76017be006ce2a"),
+    (f"stab --family D --l 3 --roots {D3_BOREL}",
+     "0768f04a5f290745b085f203c1be51f8702cf1d6a84d957935d35ec468a345f0"),
 ]
 
 

@@ -156,12 +156,28 @@ def test_stabilizer_semicontinuity_under_limits():
         assert q_dim >= base
 
 
+RANK2_BORELS = {"B": ("L1-L2", "L1+L2", "L1", "L2"),
+                "C": ("L1-L2", "L1+L2", "2L1", "2L2"),
+                "D": ("L1-L2", "L1+L2")}
+
+
 def test_basis_annihilates_reverified():
-    S = ClosedSubset(3, frozenset({(1, 3)}))
-    p = build_point(S, "A", 2, alpha="minimal")
-    rep = lie_stabilizer(p, lie_algebra("A", 2))
-    for M in rep.basis:
-        assert annihilates(M, p)
+    # every matrix the batched self-check passed also passes on its own
+    cases = [(S, "A", 3) for S in enumerate_closed(4)]
+    for family, names in RANK2_BORELS.items():
+        algebra = lie_algebra(family, 2)
+        roots = [parse_root(x, algebra.n) for x in names]
+        cases.append((closed_subset_from_roots(family, 2, roots), family, 2))
+    checked = 0
+    for S, family, rank in cases:
+        algebra = lie_algebra(family, rank)
+        for alpha in (None, "minimal"):
+            p = build_point(S, family, rank, alpha=alpha)
+            rep = lie_stabilizer(p, algebra)
+            for M in rep.basis:
+                assert annihilates(M, p), (S.sorted_pairs(), family, alpha)
+            checked += len(rep.basis)
+    assert len(cases) == 43 and checked > 0
 
 
 def test_subset_derivation_matrices_bcd_requires_roots():
