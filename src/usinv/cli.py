@@ -96,7 +96,7 @@ def _resolve_subset(args) -> tuple:
         rank = n - 1
         pairs = parse_pairs(pairs_text or "")
         return ClosedSubset(n, frozenset(pairs)), family, rank
-    rank = getattr(args, "l", None) or getattr(args, "rank", None)
+    rank = getattr(args, "l", None)
     if rank is None:
         raise UsageError(f"family {family} needs --l")
     n = ambient_dim(family, rank)
@@ -126,17 +126,14 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"usinv {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, roots=True):
+    def common(sp):
         sp.add_argument("--family", choices=["A", "B", "C", "D"], default="A")
         sp.add_argument("--n", type=int, help="ambient dimension (family A)")
         sp.add_argument("--l", type=int, help="rank (families B, C, D)")
         sp.add_argument("--pairs", help="i:j,... or corpus:<name>")
-        if roots:
-            sp.add_argument("--roots", help="root names L1-L2,L1+L2,2L1,...")
+        sp.add_argument("--roots", help="root names L1-L2,L1+L2,2L1,...")
         sp.add_argument("--out", help="write the JSON report to a file")
         sp.add_argument("--format", choices=["json", "table"], default="json")
-        sp.add_argument("--json", action="store_const", const="json",
-                        dest="format", help="shorthand for --format json")
 
     closed = sub.add_parser("closed", help="closed pair-set operations")
     closed_sub = closed.add_subparsers(dest="subcommand", required=True)
@@ -330,7 +327,6 @@ def _render_table(report: dict, stream) -> None:
 
 
 _IO_FLAGS = {"--out", "--format"}
-_IO_SWITCHES = {"--json"}
 
 
 def _echo_args(argv: Sequence[str]) -> list:
@@ -345,15 +341,26 @@ def _echo_args(argv: Sequence[str]) -> list:
         if token in _IO_FLAGS:
             skip = True
             continue
-        if token in _IO_SWITCHES or any(token.startswith(f + "=")
-                                        for f in _IO_FLAGS):
+        if any(token.startswith(f + "=") for f in _IO_FLAGS):
             continue
         out.append(token)
     return out
 
 
+def _join_cochar(argv: Sequence[str]) -> list:
+    """argv with each `--cochar VALUE` pair joined into `--cochar=VALUE`:
+    argparse reads a separate value such as -1,1 as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--cochar":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: Sequence[str]) -> int:
-    args = build_parser().parse_args(list(argv))
+    args = build_parser().parse_args(_join_cochar(argv))
     started = time.monotonic()
     code, results = _DISPATCH[args.command](args)
     report = {
@@ -380,9 +387,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         code = run(argv)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        sys.exit(EXIT_USAGE)
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         sys.exit(EXIT_USAGE)

@@ -156,13 +156,6 @@ class GradedPoly:
             return -1
         return max(sum(e for _, e in m) for m in self.terms)
 
-    def variables(self) -> set:
-        vs = set()
-        for m in self.terms:
-            for v, _ in m:
-                vs.add(v)
-        return vs
-
     def partial(self, v: tuple) -> "GradedPoly":
         """Partial derivative with respect to variable v."""
         out: dict[tuple, Fraction] = {}
@@ -238,12 +231,9 @@ def _var_str(v: tuple) -> str:
     return str(v[1])
 
 
+# GradedPoly is falsy exactly when it has no terms, so `not c` tests any
+# coefficient for zero
 Coeff = Union[Fraction, int, GradedPoly]
-
-
-def coeff_is_zero(c: Coeff) -> bool:
-    # GradedPoly is falsy exactly when it has no terms
-    return not c
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +295,7 @@ def mat_eq(A: Matrix, B: Matrix) -> bool:
 
 
 def mat_is_zero(A: Matrix) -> bool:
-    return all(coeff_is_zero(c) for row in A for c in row)
+    return not any(c for row in A for c in row)
 
 
 def mat_substitute(A: Matrix, assignment: Mapping) -> Matrix:
@@ -330,11 +320,6 @@ def exp_nilpotent(X: Matrix, scale: Coeff = Q1) -> Matrix:
         out = mat_add(out, mat_scale(power, c))
 
 
-def column(A: Matrix, i: int) -> list:
-    """1-based i-th column."""
-    return [row[i - 1] for row in A]
-
-
 # ---------------------------------------------------------------------------
 # multivectors: labeled direct sums of wedge powers
 # ---------------------------------------------------------------------------
@@ -355,15 +340,12 @@ class Summand:
     label: str
     comps: dict  # strictly increasing tuple -> Fraction | GradedPoly
 
-    def copy(self) -> "Summand":
-        return Summand(self.k, self.label, dict(self.comps))
-
     def is_zero(self) -> bool:
-        return all(coeff_is_zero(c) for c in self.comps.values())
+        return not any(self.comps.values())
 
     def normalized(self) -> "Summand":
         return Summand(self.k, self.label,
-                       {t: c for t, c in self.comps.items() if not coeff_is_zero(c)})
+                       {t: c for t, c in self.comps.items() if c})
 
 
 @dataclass
@@ -371,9 +353,6 @@ class MultiVector:
     """Element of a labeled direct sum of wedge powers of C^n."""
     n: int
     summands: list  # list[Summand]
-
-    def copy(self) -> "MultiVector":
-        return MultiVector(self.n, [s.copy() for s in self.summands])
 
     def normalized(self) -> "MultiVector":
         return MultiVector(self.n, [s.normalized() for s in self.summands])
@@ -417,7 +396,7 @@ class MultiVector:
                 {"summand": s.label, "idx": list(t), "coeff": frac_str(c)}
                 for s in self.summands
                 for t, c in sorted(s.comps.items())
-                if not coeff_is_zero(c)
+                if c
             ],
         }
 
@@ -439,7 +418,7 @@ def wedge_apply(A: Matrix, v: MultiVector, mode: str = "group") -> MultiVector:
     """
     if len(A) != v.n:
         raise ValueError("shape mismatch between matrix and multivector")
-    apply = {"group": _apply_group, "derivation": leibniz}.get(mode)
+    apply = {"group": apply_group, "derivation": leibniz}.get(mode)
     if apply is None:
         raise ValueError(f"unknown mode {mode!r}")
     support = column_support(A)
@@ -450,15 +429,18 @@ def wedge_apply(A: Matrix, v: MultiVector, mode: str = "group") -> MultiVector:
 def _add_term(comps: dict, t: tuple, c) -> None:
     if t in comps:
         s = comps[t] + c
-        if coeff_is_zero(s):
-            del comps[t]
-        else:
+        if s:
             comps[t] = s
-    elif not coeff_is_zero(c):
+        else:
+            del comps[t]
+    elif c:
         comps[t] = c
 
 
-def _apply_group(support: list, comps: Mapping) -> dict:
+def apply_group(support: list, comps: Mapping) -> dict:
+    """Group image of sparse wedge components under the matrix with the given
+    column support: each tuple goes to the wedge of the columns at its
+    indices, re-sorted with signs."""
     out: dict = {}
     for t, c in comps.items():
         for choice in itertools.product(*(support[i - 1] for i in t)):
@@ -490,10 +472,8 @@ def leibniz(support: list, comps: Mapping) -> dict:
 
 def det(A: Matrix) -> Coeff:
     """Determinant via the top wedge power."""
-    n = len(A)
-    v = MultiVector.pure(n, [(tuple(range(1, n + 1)), "det")])
-    w = wedge_apply(A, v, mode="group")
-    return w.summands[0].comps.get(tuple(range(1, n + 1)), Q0)
+    top = tuple(range(1, len(A) + 1))
+    return apply_group(column_support(A), {top: Q1}).get(top, Q0)
 
 
 # ---------------------------------------------------------------------------

@@ -192,16 +192,16 @@ def degree_monomials(n: int, d: int) -> list:
 
 
 def invariant_space(subset: ClosedSubset, family: str, rank: int,
-                    d: int, cap: Optional[int] = None) -> InvariantSpace:
+                    d: int) -> InvariantSpace:
     """Basis of degree-d polynomials killed by every generator derivation."""
     if d < 1:
         raise InvariantError("degree must be positive")
     n = subset.n
     monos = degree_monomials(n, d)
-    cap = cap if cap is not None else monomial_cap()
+    cap = monomial_cap()
     if len(monos) > cap:
-        raise InvariantError(
-            f"{len(monos)} monomials of degree {d} exceed the cap {cap}")
+        raise InvariantError(f"{len(monos)} monomials of degree {d} exceed "
+                             f"the cap {cap}; raise it with USINV_CAP")
     supports = [column_support(A) for A in
                 subset_derivation_matrices(subset, family, rank)]
     rows: dict = {}
@@ -265,8 +265,8 @@ def _minor_products(minors: list, budget: int) -> list:
 
 
 def generation_check(subset: ClosedSubset, family: str, rank: int,
-                     d: int, slack: int = 0, max_slack: int = 2,
-                     cap: Optional[int] = None) -> GenerationReport:
+                     d: int, slack: int = 0,
+                     max_slack: int = 2) -> GenerationReport:
     """Test whether every invariant of degree <= d lies in the span of
     products of principal invariant minors, modulo (det - 1) at the given
     truncation.
@@ -284,7 +284,7 @@ def generation_check(subset: ClosedSubset, family: str, rank: int,
     cols = column_sets(subset, family, rank)
     sigma = tuple(range(1, n + 1))
     minors = principal_minors(cols, sigma)
-    inv_spaces = [invariant_space(subset, family, rank, deg, cap=cap)
+    inv_spaces = [invariant_space(subset, family, rank, deg)
                   for deg in range(1, d + 1)]
     det_minus_one = minor_poly(range(1, n + 1), range(1, n + 1)) - 1
 

@@ -16,8 +16,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
-                    coeff_is_zero, wedge_apply, xvar)
-from .points import WeightedPoint, WeightedSummand, build_point
+                    apply_group, column_support, xvar)
+from .points import (WeightedPoint, WeightedSummand, build_point,
+                     flag_prefix_sums)
 from .rootsys import MatrixLieData, ambient_dim, flag_permutation, lie_algebra
 from .stab import lie_stabilizer
 from .subsets import ClosedSubset, ColumnFamily
@@ -112,36 +113,25 @@ def _is_unitriangular(M: Matrix, sigma: tuple) -> bool:
     return True
 
 
-def _graded_apply(comps: dict, weights: tuple, u: Optional[Matrix],
-                  uprime: Optional[Matrix], n: int, k: int) -> dict:
-    """Exponent ledger of (wedge . u . lambda(t) . uprime) for one block.
+def _graded_apply(comps: dict, weights: tuple, shift: int,
+                  u: Optional[list], uprime: Optional[list]) -> dict:
+    """Exponent ledger of (wedge . u . lambda(t) . uprime) for one block,
+    every exponent raised by `shift`; u and uprime are column supports.
 
-    Returns {tuple: {exponent: Fraction}}."""
-    v = MultiVector(n, [Summand(k, "w", dict(comps))])
+    Returns {tuple: {exponent: coefficient}}, exponents ascending."""
     if u is not None:
-        v = wedge_apply(u, v, mode="group")
+        comps = apply_group(u, comps)
     slices: dict[int, dict] = {}
-    for t, c in v.summands[0].comps.items():
-        e = sum(weights[i - 1] for i in t)
+    for t, c in comps.items():
+        e = shift + sum(weights[i - 1] for i in t)
         slices.setdefault(e, {})[t] = c
     out: dict = {}
     for e, comp in sorted(slices.items()):
-        sv = MultiVector(n, [Summand(k, "w", comp)])
         if uprime is not None:
-            sv = wedge_apply(uprime, sv, mode="group")
-        for t, c in sv.summands[0].comps.items():
-            if coeff_is_zero(c):
-                continue
-            out.setdefault(t, {})[e] = out.setdefault(t, {}).get(e, Q0) + c
-    return {t: {e: c for e, c in lau.items() if c} for t, lau in out.items()}
-
-
-def _prefix_sums(weights: tuple, sigma: tuple, levels: int) -> list:
-    out = []
-    run = 0
-    for i in range(levels):
-        run += weights[sigma[i] - 1]
-        out.append(run)
+            comp = apply_group(uprime, comp)
+        for t, c in comp.items():
+            if c:
+                out.setdefault(t, {})[e] = c
     return out
 
 
@@ -151,74 +141,65 @@ def cochar_limit(p, lam: Cocharacter, u: Optional[Matrix] = None,
 
     Divergence means some symbolically nonzero coefficient carries a negative
     t-exponent; otherwise the exponent-zero part is returned and the ledger
-    records the leading exponent of every nonzero component.
+    records the leading exponent of every nonzero component.  A weighted
+    point differs from a plain one in three ways: each summand's exponents
+    are raised by alpha_j times the sum E of the flag prefix sums, the flag
+    levels enter the ledger, and the conjugators must be unitriangular.
     """
+    if not isinstance(p, (MultiVector, WeightedPoint)):
+        raise LimitError(f"unsupported point type {type(p).__name__}")
     w = lam.weights
+    if len(w) != p.n:
+        raise LimitError("weight length mismatch")
+    for M in (u, uprime):
+        if M is not None and (len(M) != p.n
+                              or any(len(row) != p.n for row in M)):
+            raise LimitError(f"conjugators must be {p.n} x {p.n} matrices")
+    supports = [None if M is None else column_support(M) for M in (u, uprime)]
     ledger: dict = {}
     negative: Optional[tuple] = None
 
-    def note(key, exps: dict):
+    def note(key, lead: int):
         nonlocal negative
-        if not exps:
-            return
-        lead = min(exps)
         ledger[key] = min(lead, ledger.get(key, lead))
         if lead < 0 and negative is None:
             negative = (key, lead)
 
-    if isinstance(p, MultiVector):
-        if len(w) != p.n:
-            raise LimitError("weight length mismatch")
-        new_summands = []
-        for idx, s in enumerate(p.summands):
-            graded = _graded_apply(s.comps, w, u, uprime, p.n, s.k)
-            comp0 = {}
-            label = s.label or f"c{idx}"
-            for t, lau in graded.items():
-                note((label, t), lau)
-                if 0 in lau:
-                    comp0[t] = lau[0]
-            new_summands.append(Summand(s.k, s.label, comp0))
-        if negative is not None:
-            return LimitOutcome("diverges", ledger=ledger,
-                                negative_witness=negative)
-        return LimitOutcome("converges", MultiVector(p.n, new_summands), ledger)
+    def limit_block(comps: dict, label: str, shift: int) -> dict:
+        """The exponent-zero part of one block, its exponents noted."""
+        comp0 = {}
+        for t, lau in _graded_apply(comps, w, shift, *supports).items():
+            note((label, t), min(lau))
+            if 0 in lau:
+                comp0[t] = lau[0]
+        return comp0
 
-    if isinstance(p, WeightedPoint):
-        if len(w) != p.n:
-            raise LimitError("weight length mismatch")
+    if isinstance(p, MultiVector):
+        value = MultiVector(p.n, [
+            Summand(s.k, s.label,
+                    limit_block(s.comps, s.label or f"c{idx}", 0))
+            for idx, s in enumerate(p.summands)])
+    else:
         for M in (u, uprime):
             if M is not None and not _is_unitriangular(M, p.sigma):
                 raise LimitError("conjugators must be unipotent upper "
                                  "triangular in sigma-order")
-        prefixes = _prefix_sums(w, p.sigma, p.levels)
-        flag_total = sum(prefixes)
-        new_summands = []
-        for s in p.summands:
-            shift = s.alpha * flag_total
-            graded = _graded_apply(s.comps, w, u, uprime, p.n, s.k)
-            comp0 = {}
-            for t, lau in graded.items():
-                shifted = {e + shift: c for e, c in lau.items()}
-                note((s.label, t), shifted)
-                if 0 in shifted:
-                    comp0[t] = shifted[0]
-            new_summands.append(WeightedSummand(s.label, s.alpha, s.k, comp0))
-        new_flags = []
-        for k in range(1, p.levels + 1):
-            c = p.flag_coeffs[k - 1]
+        prefixes = flag_prefix_sums(dict(enumerate(w, start=1)), p.sigma,
+                                    p.levels)
+        E = sum(prefixes)
+        summands = [WeightedSummand(s.label, s.alpha, s.k,
+                                    limit_block(s.comps, s.label, s.alpha * E))
+                    for s in p.summands]
+        flags = []
+        for k, (c, e) in enumerate(zip(p.flag_coeffs, prefixes), start=1):
             if c:
-                note(("flag", k), {prefixes[k - 1]: c})
-                new_flags.append(c if prefixes[k - 1] == 0 else Q0)
-            else:
-                new_flags.append(Q0)
-        if negative is not None:
-            return LimitOutcome("diverges", ledger=ledger,
-                                negative_witness=negative)
-        value = WeightedPoint(p.n, p.sigma, p.levels, new_summands, new_flags)
-        return LimitOutcome("converges", value, ledger)
-
-    raise LimitError(f"unsupported point type {type(p).__name__}")
+                note(("flag", k), e)
+            flags.append(c if c and e == 0 else Q0)
+        value = WeightedPoint(p.n, p.sigma, p.levels, summands, flags)
+    if negative is not None:
+        return LimitOutcome("diverges", ledger=ledger,
+                            negative_witness=negative)
+    return LimitOutcome("converges", value, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +230,7 @@ def exponent_lemma_check(w: Sequence[int],
     prefix sums (the exponent of the weighted diagonal product)."""
     n = len(w)
     sigma = sigma or tuple(range(1, n + 1))
-    prefixes = _prefix_sums(tuple(w), sigma, n)
+    prefixes = flag_prefix_sums(dict(enumerate(w, start=1)), sigma, n)
     if any(pp < 0 for pp in prefixes) or not any(x > 0 for x in w):
         return ExponentLemmaReport(hypotheses_met=False)
     E = sum(prefixes)
@@ -285,8 +266,7 @@ def wedge_coefficient_check(cols: ColumnFamily, s: int, t: int):
             if i not in cols[j] - {j}:
                 b[i - 1][j - 1] = GradedPoly.var(xvar(i, j))
     source = tuple(sorted(st))
-    v = MultiVector(n, [Summand(len(source), "w", {source: Q1})])
-    image = wedge_apply(b, v, mode="group").summands[0].comps
+    image = apply_group(column_support(b), {source: Q1})
     rest = sorted(st - {t})
     target = tuple(sorted([s] + rest))
     eps = (-1) ** sum(1 for a in rest if a > s)

@@ -8,13 +8,13 @@ Leibniz/eigenvector structure on pure tensors.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, coeff_is_zero,
-                    exp_nilpotent, frac_str, mat_mul, mat_substitute, pvar,
-                    sort_wedge)
+from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, exp_nilpotent,
+                    frac_str, mat_mul, mat_substitute, pvar, sort_wedge)
 from .rootsys import (MatrixLieData, Root, ambient_dim, find_generating_subsets,
                       flag_permutation, root_subgroup_matrix)
 from .subsets import ClosedSubset, ColumnFamily, column_sets, is_closed
@@ -38,7 +38,7 @@ def _leading_position(g: Matrix) -> tuple:
     n = len(g)
     for i in range(n):
         for j in range(n):
-            if not coeff_is_zero(g[i][j]):
+            if g[i][j]:
                 return (i + 1, j + 1)
     raise PointError("zero generator")
 
@@ -114,7 +114,7 @@ def build_us(subset: ClosedSubset, family: str, rank: int) -> UnipotentPattern:
         M = mat_mul(M, exp_nilpotent(g, GradedPoly.var(pvar(name))))
     for i in range(1, subset.n + 1):
         for j in range(1, subset.n + 1):
-            if i != j and not coeff_is_zero(M[i - 1][j - 1]) and i not in cols[j]:
+            if i != j and M[i - 1][j - 1] and i not in cols[j]:
                 raise PointError(f"entry ({i},{j}) escapes the column sets")
     return UnipotentPattern(subset.n, family, rank, M, tuple(names),
                             tuple(positions), cols)
@@ -145,11 +145,9 @@ def so_parameter_property(u: UnipotentPattern) -> bool:
                 if v is not None:
                     M = mat_substitute(M, {v: Q0})
                     changed = True
-    leftover = [e for (i, j) in visible for e in [M[i - 1][j - 1]]
-                if not coeff_is_zero(e)]
-    if leftover:
+    if any(M[i - 1][j - 1] for (i, j) in visible):
         return False
-    return all(coeff_is_zero(M[i - 1][j - 1]) for (i, j) in special)
+    return not any(M[i - 1][j - 1] for (i, j) in special)
 
 
 def default_index_set(family: str, rank: int,
@@ -189,7 +187,7 @@ class WeightedSummand:
     comps: dict  # strictly increasing tuple -> Fraction
 
     def is_zero(self) -> bool:
-        return all(coeff_is_zero(c) for c in self.comps.values())
+        return not any(self.comps.values())
 
 
 @dataclass
@@ -233,6 +231,15 @@ class WeightedPoint:
             "flag": [{"level": k, "coeff": frac_str(c)}
                      for k, c in enumerate(self.flag_coeffs, start=1)],
         }
+
+
+def flag_prefix_sums(diagonal: Mapping, sigma: tuple, levels: int) -> list:
+    """Entry k - 1 sums diagonal[j] over j = sigma(1), ..., sigma(k), for
+    k = 1..levels, an absent j counting 0.  For cocharacter weights these
+    are the t-exponents of the flag wedges; for the diagonal of a matrix, its
+    eigenvalues on them wherever they are eigenvectors."""
+    return list(itertools.accumulate(diagonal.get(j, 0)
+                                     for j in sigma[:levels]))
 
 
 def alpha_valid(alpha: Sequence[int], n: int, sigma: Optional[tuple] = None,

@@ -10,7 +10,6 @@ against a direct tensor expansion at small alpha.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +17,7 @@ from .exact import (Matrix, MultiVector, Q0, Q1, SelfCheckError, SparseMatrix,
                     column_support, leibniz, nullspace, spans_equal,
                     wedge_apply)
 from .invars import subset_derivation_matrices
-from .points import WeightedPoint
+from .points import WeightedPoint, flag_prefix_sums
 from .rootsys import MatrixLieData
 from .subsets import ClosedSubset
 
@@ -53,14 +52,6 @@ class StabilizerReport:
         return out
 
 
-def _diagonal_prefixes(support: list, sigma: tuple, levels: int) -> list:
-    """Traces of the first k flag vectors in sigma-order, k = 1..levels."""
-    diag = {j: a for j, col in enumerate(support, start=1)
-            for r, a in col if r == j}
-    return list(itertools.accumulate(
-        (diag.get(j, Q0) for j in sigma[:levels]), initial=Q0))[1:]
-
-
 def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
     """Rows of the linear system for a weighted point (or a limit of one),
     one column per basis element given by its column support."""
@@ -74,7 +65,9 @@ def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
     live = [s for s in p.summands if not s.is_zero()]
     flags = [p.flag_tuple(k) for k in range(1, p.levels + 1)]
     for r, support in enumerate(supports):
-        prefixes = _diagonal_prefixes(support, p.sigma, p.levels)
+        diag = {j: a for j, col in enumerate(support, start=1)
+                for i, a in col if i == j}
+        prefixes = flag_prefix_sums(diag, p.sigma, p.levels)
         for k, ft in enumerate(flags, start=1):
             image = leibniz(support, {ft: Q1})
             if p.flag_coeffs[k - 1]:

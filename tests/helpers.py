@@ -15,6 +15,27 @@ Q1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
+# determinants by cofactor expansion
+# ---------------------------------------------------------------------------
+
+def cofactor_det(M):
+    """Determinant by expansion along the first row."""
+    m = len(M)
+    if m == 0:
+        return Q1
+    total = Q0
+    for c in range(m):
+        minor = [row[:c] + row[c + 1:] for row in M[1:]]
+        total += (-1) ** c * M[0][c] * cofactor_det(minor)
+    return total
+
+
+def minor(A, rows, cols):
+    """Minor of A on the given 1-based rows and columns."""
+    return cofactor_det([[A[r - 1][c - 1] for c in cols] for r in rows])
+
+
+# ---------------------------------------------------------------------------
 # closed subsets by brute force
 # ---------------------------------------------------------------------------
 

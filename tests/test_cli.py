@@ -107,6 +107,18 @@ def test_limit_command(capsys):
     assert report["results"]["outcome"]["kind"] == "converges"
 
 
+def test_limit_negative_first_weight_both_forms(capsys):
+    # a separate value starting with '-' used to be read as an option
+    for weighted in ([], ["--weighted", "minimal"]):
+        base = ["limit", "--pairs", "corpus:boundary-example"] + weighted
+        code_joined, joined = _run_capture(capsys,
+                                           base + ["--cochar=-1,1,1,-1"])
+        code_split, split = _run_capture(capsys,
+                                         base + ["--cochar", "-1,1,1,-1"])
+        assert code_joined == code_split != EXIT_USAGE
+        assert json.loads(joined)["results"] == json.loads(split)["results"]
+
+
 def test_generation_exit_codes(capsys):
     code, out = _run_capture(capsys, [
         "check-generation", "--family", "A", "--n", "2", "--pairs", "1:2",
@@ -253,6 +265,11 @@ def test_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stab", "--pairs", "corpus:trivial", "--jobs", "2"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_json_switch_removed(capsys):
+    assert _exit_code(["stab", "--pairs", "corpus:trivial",
+                       "--json"]) == EXIT_USAGE
 
 
 def test_unknown_corpus_reference(capsys):

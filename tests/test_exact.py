@@ -10,8 +10,8 @@ from usinv.exact import (GradedPoly, MultiVector, Q0, Q1, RowEchelon,
                          SparseMatrix, Summand, column_support, det, eij,
                          exp_nilpotent, identity, mat_add, mat_mul, mat_scale,
                          nullspace, pvar, sort_wedge, spans_equal, wedge_apply)
-from helpers import (_wedge_derivation, dense_nullity, dense_rank,
-                     random_rational_matrix)
+from helpers import (_wedge_derivation, cofactor_det, dense_nullity,
+                     dense_rank, random_rational_matrix)
 
 
 def test_poly_arithmetic():
@@ -151,17 +151,7 @@ def test_det_via_wedge():
     rng = random.Random(3)
     for n in (2, 3, 4):
         A = random_rational_matrix(n, rng)
-        # cross-check with cofactor expansion
-        def cof_det(M):
-            m = len(M)
-            if m == 1:
-                return M[0][0]
-            total = Fraction(0)
-            for c in range(m):
-                minor = [row[:c] + row[c + 1:] for row in M[1:]]
-                total += (-1) ** c * M[0][c] * cof_det(minor)
-            return total
-        assert det(A) == cof_det(A)
+        assert det(A) == cofactor_det(A)
 
 
 def test_exp_nilpotent_entries():

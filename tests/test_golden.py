@@ -6,10 +6,14 @@ reproduce these bytes.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from usinv.cli import run
+from usinv.limits import cocharacter_grid
+from usinv.rootsys import positive_roots
+from usinv.subsets import enumerate_closed, roots_are_closed
 
 D3_BOREL = "L1-L2,L1+L2,L1-L3,L1+L3,L2-L3,L2+L3"
 B3_BOREL = D3_BOREL + ",L1,L2,L3"
@@ -78,6 +82,17 @@ GOLDEN = [
      "c5ce42a1a54da7faf2e309279ab6969372417f450dea4076bc76017be006ce2a"),
     (f"stab --family D --l 3 --roots {D3_BOREL}",
      "0768f04a5f290745b085f203c1be51f8702cf1d6a84d957935d35ec468a345f0"),
+    ("limit --pairs corpus:boundary-example --cochar 1,-1,-1,1 "
+     "--weighted minimal",
+     "ee1be352ee7bfec1eb8ec614f65b8ed7e6f9c5c38fb0725ae414d70f49a20077"),
+    ("limit --pairs corpus:regularsubgroup --cochar 1,-1,-1,1",
+     "31eac2c50743a53b6646d0d4572c7f63abef5c130a9a2fbf2ecad24076fe317b"),
+    ("limit --pairs corpus:full-borel --cochar 1,0,-1 --weighted minimal",
+     "4f237589746787840db046769af458249119d5516490d7f4fcd7aa5904732a29"),
+    ("limit --pairs corpus:so4-borel --cochar 1,0,-1,0 --weighted minimal",
+     "40ec2f279407b120945d6be7ebc754b16dbaca30ca3d9b4bec28d55cec9622e5"),
+    ("screen --n 4 --pairs 1:2,3:4 --alpha minimal --radius 2",
+     "75528861b2d29cbeff2dbfc8aa6eb3ca9f20f9dee15adcaac3b00b89b9b46fbd"),
 ]
 
 
@@ -86,3 +101,64 @@ def test_report_digest(capsys, command, digest):
     run(command.split())
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _cochar_args(weights) -> list:
+    text = ",".join(str(x) for x in weights)
+    # the joined form is the one that parses with a negative first weight
+    # at every version of the parser, so the pinned echo never changes
+    return [f"--cochar={text}"] if weights[0] < 0 else ["--cochar", text]
+
+
+def _limit_sweep(family: str, rank: int, sets) -> list:
+    """limit argv lists for every set in `sets` (each a list of subset
+    arguments) and every cocharacter of radius 2, plain and weighted."""
+    out = []
+    for subset_args in sets:
+        for lam in cocharacter_grid(family, rank, 2):
+            for weighted in ([], ["--weighted", "minimal"]):
+                out.append(["limit"] + subset_args
+                           + _cochar_args(lam.weights) + weighted)
+    return out
+
+
+def _sl3_sets() -> list:
+    return [["--n", "3", "--pairs",
+             ",".join(f"{i}:{j}" for i, j in sorted(s.pairs))]
+            for s in enumerate_closed(3)]
+
+
+def _rank2_root_sets() -> list:
+    """Every non-empty closed root set of B_2, C_2 and D_2."""
+    out = []
+    for family in "BCD":
+        pos = list(positive_roots(family, 2).positive_roots)
+        for size in range(1, len(pos) + 1):
+            for combo in itertools.combinations(pos, size):
+                if roots_are_closed(family, 2, combo, pos):
+                    out.append((family, ["--family", family, "--l", "2",
+                                         "--roots",
+                                         ",".join(r.name() for r in combo)]))
+    return out
+
+
+def _sweep_digest(capsys, commands) -> str:
+    capsys.readouterr()
+    for argv in commands:
+        run(argv)
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_sl3_limit_sweep_digest(capsys):
+    commands = _limit_sweep("A", 2, _sl3_sets())
+    assert len(commands) == 266
+    assert _sweep_digest(capsys, commands) == (
+        "98fbb43a6832401001a8efd1c10d3c78e4cc0035fff58e92c58a972fe2a9d035")
+
+
+def test_rank2_root_set_limit_sweep_digest(capsys):
+    commands = [argv for family, args in _rank2_root_sets()
+                for argv in _limit_sweep(family, 2, [args])]
+    assert len(commands) == 1250
+    assert _sweep_digest(capsys, commands) == (
+        "53a41e8779d810f6e2c1b2c6a4bdf6e8cf563430a4f61317b2bd130739a826d5")

@@ -198,10 +198,11 @@ def test_invariant_space_monotone_in_subset():
         assert db <= ds
 
 
-def test_invariant_space_cap():
+def test_invariant_space_cap(monkeypatch):
     S = ClosedSubset(3, frozenset())
-    with pytest.raises(InvariantError):
-        invariant_space(S, "A", 2, 3, cap=10)
+    monkeypatch.setenv("USINV_CAP", "10")
+    with pytest.raises(InvariantError, match="USINV_CAP"):
+        invariant_space(S, "A", 2, 3)
 
 
 def test_cap_env_override(monkeypatch):

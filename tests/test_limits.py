@@ -11,10 +11,10 @@ from usinv.exact import MultiVector, identity
 from usinv.limits import (Cocharacter, LimitError, cochar_limit,
                           cocharacter_grid, exponent_lemma_check,
                           grosshans_screen, wedge_coefficient_check)
-from usinv.points import build_point
+from usinv.points import WeightedPoint, build_point
 from usinv.rootsys import lie_algebra
 from usinv.subsets import ClosedSubset, column_sets
-from helpers import random_closed_pairs
+from helpers import minor, random_closed_pairs
 
 BOUNDARY = frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)})
 
@@ -115,6 +115,105 @@ def test_conjugated_limit_of_plain_point():
     # e2 . u = e2 + e1; scaling sends e1 part to t e1, e2 part to t^{-1} e2
     assert out.kind == "diverges"
     assert out.negative_witness[0] == ("S_2", (2,))
+
+
+def _group_image(A, comps, n):
+    """The coefficient of e_{t'} in A.e_t is the minor of A with rows t' and
+    columns t; None stands for the identity."""
+    if A is None:
+        return dict(comps)
+    out = {}
+    for t, c in comps.items():
+        for t2 in itertools.combinations(range(1, n + 1), len(t)):
+            out[t2] = out.get(t2, 0) + minor(A, t2, t) * c
+    return out
+
+
+def _oracle_limit(p, w, u, uprime):
+    """(kind, ledger, summand values, flag values) of the limit of
+    (u.p).lambda(t).uprime, from the minors of u and uprime."""
+    n = p.n
+    ledger, values, flags = {}, [], None
+    shift = 0
+    if isinstance(p, WeightedPoint):
+        prefixes = list(itertools.accumulate(w[j - 1]
+                                             for j in p.sigma[:p.levels]))
+        shift = sum(prefixes)
+        flags = [c if e == 0 else 0
+                 for c, e in zip(p.flag_coeffs, prefixes)]
+        for k, (c, e) in enumerate(zip(p.flag_coeffs, prefixes), start=1):
+            if c:
+                ledger[("flag", k)] = e
+    for s in p.summands:
+        alpha = getattr(s, "alpha", 0)
+        laurent = {}
+        for t1, c1 in _group_image(u, s.comps, n).items():
+            e = alpha * shift + sum(w[i - 1] for i in t1)
+            for t2, c2 in _group_image(uprime, {t1: c1}, n).items():
+                lau = laurent.setdefault(t2, {})
+                lau[e] = lau.get(e, 0) + c2
+        value = {}
+        for t2, lau in laurent.items():
+            exps = [e for e, c in lau.items() if c]
+            if exps:
+                ledger[(s.label, t2)] = min(exps)
+            if lau.get(0):
+                value[t2] = lau[0]
+        values.append((s.label, value))
+    kind = "diverges" if min(ledger.values(), default=0) < 0 else "converges"
+    return kind, ledger, values, flags
+
+
+def _random_unitriangular(n, sigma, rng):
+    pos = {j: k for k, j in enumerate(sigma, start=1)}
+    M = identity(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if pos[i] < pos[j] and rng.random() < 0.6:
+                M[i - 1][j - 1] = Fraction(rng.randint(-3, 3),
+                                           rng.randint(1, 2))
+    return M
+
+
+def test_conjugated_limits_match_minor_oracle():
+    rng = random.Random(29)
+    kinds = set()
+    for trial in range(60):
+        n = 3 + trial % 2
+        S = ClosedSubset(n, random_closed_pairs(n, rng))
+        lam = rng.choice(cocharacter_grid("A", n - 1, 2))
+        for alpha in (None, "minimal"):
+            p = build_point(S, "A", n - 1, alpha=alpha)
+            sigma = getattr(p, "sigma", tuple(range(1, n + 1)))
+            u = _random_unitriangular(n, sigma, rng)
+            uprime = _random_unitriangular(n, sigma, rng)
+            out = cochar_limit(p, lam, u, uprime)
+            kind, ledger, values, flags = _oracle_limit(p, lam.weights, u,
+                                                        uprime)
+            kinds.add((alpha, kind))
+            assert (out.kind, out.ledger) == (kind, ledger), (S, lam)
+            if kind == "diverges":
+                key, e = out.negative_witness
+                assert ledger[key] == e < 0
+                continue
+            got = [(s.label, {t: c for t, c in s.comps.items() if c})
+                   for s in out.value.summands]
+            assert got == values, (S, lam)
+            assert getattr(out.value, "flag_coeffs", None) == flags
+    assert len(kinds) == 4
+
+
+def test_conjugators_of_wrong_shape_refused():
+    S = ClosedSubset(3, frozenset({(1, 3)}))
+    lam = Cocharacter("A", 2, (1, 0, -1))
+    narrow = [row[:2] for row in identity(3)]
+    for alpha in (None, "minimal"):
+        p = build_point(S, "A", 2, alpha=alpha)
+        for bad in (identity(2), identity(4), narrow):
+            with pytest.raises(LimitError):
+                cochar_limit(p, lam, u=bad)
+            with pytest.raises(LimitError):
+                cochar_limit(p, lam, uprime=bad)
 
 
 def test_exponent_lemma_examples():
