@@ -23,7 +23,8 @@ from .exact import SelfCheckError
 from .invars import generation_check, invariant_space
 from .limits import Cocharacter, cochar_limit, grosshans_screen
 from .points import build_point, build_us
-from .rootsys import ambient_dim, parse_root, positive_roots, root_system_to_json
+from .rootsys import (ambient_dim, lie_algebra, parse_root, positive_roots,
+                      root_system_to_json)
 from .stab import compare_uS, lie_stabilizer
 from .subsets import (ClosedSubset, closed_subset_from_roots, column_sets,
                       enumerate_closed, is_closed, transitive_closure)
@@ -226,7 +227,6 @@ def _cmd_point(args) -> tuple:
 
 
 def _cmd_stab(args) -> tuple:
-    from .rootsys import lie_algebra
     subset, family, rank = _resolve_subset(args)
     alpha = _alpha_arg(args)
     point = build_point(subset, family, rank, alpha=alpha)

@@ -1,9 +1,13 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, exterior algebra,
 and sparse linear algebra on one incremental reduced row echelon form.
 
-All coefficients are `fractions.Fraction` or `GradedPoly` over Fraction; no
-floating point anywhere.  Wedge tuples are strictly increasing and 1-based;
-signs come from counting inversions of the sorting permutation.
+Coefficients are exact: an `int` wherever a value is integral, else a
+`fractions.Fraction`, or a `GradedPoly` over those.  Integral values stay
+`int` because integer arithmetic is several times cheaper than `Fraction`
+arithmetic (`int_if_integral` narrows a `Fraction` on the way in), and every
+division goes through `Fraction`, so no floating point arises anywhere.
+Wedge tuples are strictly increasing and 1-based; signs come from counting
+inversions of the sorting permutation.
 """
 
 from __future__ import annotations
@@ -16,6 +20,14 @@ from typing import Iterable, Mapping, Sequence, Union
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+
+def int_if_integral(c):
+    """c as an int when it is an integral Fraction; any other value, a
+    non-integral Fraction or a GradedPoly included, unchanged."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 class SelfCheckError(RuntimeError):
@@ -403,8 +415,8 @@ class MultiVector:
 
 def column_support(A: Matrix) -> list:
     """Nonzero entries of A by column: entry j - 1 lists (row, value) of
-    column j, rows 1-based and ascending."""
-    return [[(r, a) for r, a in enumerate(col, start=1) if a]
+    column j, rows 1-based and ascending; integral values as int."""
+    return [[(r, int_if_integral(a)) for r, a in enumerate(col, start=1) if a]
             for col in zip(*A)]
 
 
@@ -416,8 +428,8 @@ def wedge_apply(A: Matrix, v: MultiVector, mode: str = "group") -> MultiVector:
     one factor at a time.  Results are re-sorted to strictly increasing
     tuples with signs.
     """
-    if len(A) != v.n:
-        raise ValueError("shape mismatch between matrix and multivector")
+    if len(A) != v.n or any(len(row) != v.n for row in A):
+        raise ValueError(f"matrix must be {v.n} x {v.n} for this multivector")
     apply = {"group": apply_group, "derivation": leibniz}.get(mode)
     if apply is None:
         raise ValueError(f"unknown mode {mode!r}")
@@ -482,25 +494,31 @@ def det(A: Matrix) -> Coeff:
 
 @dataclass
 class SparseMatrix:
-    """Sparse matrix over Fraction with 0-based (row, col) keys."""
+    """Sparse matrix over the rationals with 0-based (row, col) keys; each
+    entry is an int when integral and a Fraction otherwise."""
     rows: int
     cols: int
     entries: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_rows(rows: Sequence[Mapping[int, Fraction]], cols: int) -> "SparseMatrix":
-        entries = {(r, c): Fraction(v) for r, row in enumerate(rows)
+    def from_rows(rows: Sequence[Mapping[int, "int | Fraction"]],
+                  cols: int) -> "SparseMatrix":
+        entries = {(r, c): int_if_integral(v) for r, row in enumerate(rows)
                    for c, v in row.items() if v}
         return SparseMatrix(len(rows), cols, entries)
 
 
 class RowEchelon:
-    """Incremental reduced row echelon form over Fraction, with arbitrary
-    mutually comparable keys as coordinates.
+    """Incremental reduced row echelon form over the rationals, with
+    arbitrary mutually comparable keys as coordinates.
 
     Invariant: each pivot row has its least key as pivot, with coefficient 1
     there, and no entry at any other pivot key.  This is the only elimination
     engine: span membership, ranks and kernels all go through it.
+
+    Entries are int or Fraction and mix freely; integral input is kept as
+    int, so rows with +-1 pivots are eliminated in integer arithmetic.  The
+    one division, normalizing a pivot, goes through Fraction.
     """
 
     def __init__(self):
@@ -513,11 +531,11 @@ class RowEchelon:
     def reduce(self, vec: Mapping) -> dict:
         """Remainder of vec after clearing every pivot key; pivot rows carry
         no other pivot keys, so one pass over those keys suffices."""
-        out = {k: Fraction(v) for k, v in vec.items() if v}
+        out = {k: int_if_integral(v) for k, v in vec.items() if v}
         for key in [k for k in out if k in self.pivots]:
             c = out[key]
             for k, v in self.pivots[key].items():
-                s = out.get(k, Q0) - c * v
+                s = out.get(k, 0) - c * v
                 if s:
                     out[k] = s
                 else:
@@ -530,14 +548,15 @@ class RowEchelon:
         if not rem:
             return False
         key = min(rem)
-        inv = 1 / rem[key]
-        row = {k: v * inv for k, v in rem.items()}
+        # 1 / int would be a float
+        inv = 1 / Fraction(rem[key])
+        row = {k: int_if_integral(v * inv) for k, v in rem.items()}
         # clear the new pivot key from the other pivot rows
         for prow in self.pivots.values():
             c = prow.get(key)
             if c:
                 for k, v in row.items():
-                    s = prow.get(k, Q0) - c * v
+                    s = prow.get(k, 0) - c * v
                     if s:
                         prow[k] = s
                     else:
@@ -549,7 +568,7 @@ class RowEchelon:
         return not self.reduce(vec)
 
 
-def nullspace(m: SparseMatrix) -> list[list[Fraction]]:
+def nullspace(m: SparseMatrix) -> list[list["int | Fraction"]]:
     """Deterministic kernel basis read off the reduced echelon form.
 
     Each free column f yields one basis vector with 1 at f, 0 at every other
@@ -594,6 +613,6 @@ def frac_str(c: Coeff) -> str:
             c = c.constant_value()
         else:
             return repr(c)
-    c = Fraction(c)
+    # int and Fraction both carry numerator and denominator
     return f"{c.numerator}/{c.denominator}"
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
                     apply_group, column_support, xvar)
-from .points import (WeightedPoint, WeightedSummand, build_point,
-                     flag_prefix_sums)
+from .points import (WeightedPoint, WeightedSummand, alpha_valid, build_point,
+                     default_index_set, flag_prefix_sums)
 from .rootsys import MatrixLieData, ambient_dim, flag_permutation, lie_algebra
 from .stab import lie_stabilizer
 from .subsets import ClosedSubset, ColumnFamily
@@ -345,8 +345,6 @@ def grosshans_screen(subset: ClosedSubset, family: str, rank: int,
     witness).  Labeled screening, not proof."""
     algebra = algebra or lie_algebra(family, rank)
     if alpha is not None and not isinstance(alpha, str):
-        from .points import alpha_valid, default_index_set
-        from .rootsys import flag_permutation
         index_set = default_index_set(family, rank)
         if not alpha_valid(tuple(alpha), ambient_dim(family, rank),
                            flag_permutation(family, rank), index_set):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Matrix, Q1, RowEchelon, eij, zeros
+from .exact import Matrix, Q1, RowEchelon, eij, frac_str, zeros
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -382,7 +382,6 @@ def root_system_to_json(system: RootSystem) -> dict:
 
 
 def _matrix_to_strings(M: Matrix) -> list:
-    from .exact import frac_str
     return [[frac_str(e) for e in row] for row in M]
 
 

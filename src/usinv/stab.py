@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import (Matrix, MultiVector, Q0, Q1, SelfCheckError, SparseMatrix,
-                    column_support, leibniz, nullspace, spans_equal,
-                    wedge_apply)
+from .exact import (Matrix, MultiVector, SelfCheckError, SparseMatrix,
+                    column_support, frac_str, int_if_integral, leibniz,
+                    nullspace, spans_equal, wedge_apply)
 from .invars import subset_derivation_matrices
 from .points import WeightedPoint, flag_prefix_sums
-from .rootsys import MatrixLieData
+from .rootsys import MatrixLieData, flag_permutation
 from .subsets import ClosedSubset
 
 
@@ -36,7 +36,6 @@ class StabilizerReport:
     us_dimension: Optional[int] = None
 
     def to_json(self) -> dict:
-        from .exact import frac_str
         out = {
             "dimension": self.dimension,
             "algebra_dim": self.algebra_dim,
@@ -54,7 +53,8 @@ class StabilizerReport:
 
 def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
     """Rows of the linear system for a weighted point (or a limit of one),
-    one column per basis element given by its column support."""
+    one column per basis element given by its column support.  Integral
+    coefficients stay int throughout."""
     rows: dict = {}
 
     def put(key, col, val):
@@ -62,31 +62,31 @@ def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
             row = rows.setdefault(key, {})
             row[col] = row[col] + val if col in row else val
 
-    live = [s for s in p.summands if not s.is_zero()]
+    live = [(s, _integral(s.comps)) for s in p.summands if not s.is_zero()]
     flags = [p.flag_tuple(k) for k in range(1, p.levels + 1)]
     for r, support in enumerate(supports):
         diag = {j: a for j, col in enumerate(support, start=1)
                 for i, a in col if i == j}
         prefixes = flag_prefix_sums(diag, p.sigma, p.levels)
         for k, ft in enumerate(flags, start=1):
-            image = leibniz(support, {ft: Q1})
+            image = leibniz(support, {ft: 1})
             if p.flag_coeffs[k - 1]:
                 # surviving flag component: A f_k = 0
                 kind = "flag"
             elif live:
                 # flag wedge must be an eigenvector of A
                 kind = "eig"
-                image[ft] = image.get(ft, Q0) - prefixes[k - 1]
+                image[ft] = image.get(ft, 0) - prefixes[k - 1]
             else:
                 continue
             for t, c in image.items():
                 put((kind, k, t), r, c)
         if live:
-            T = sum(prefixes, start=Q0)
-            for s in live:
-                image = leibniz(support, s.comps)
-                for t, c in s.comps.items():
-                    image[t] = image.get(t, Q0) + s.alpha * T * c
+            T = sum(prefixes)
+            for s, comps in live:
+                image = leibniz(support, comps)
+                for t, c in comps.items():
+                    image[t] = image.get(t, 0) + s.alpha * T * c
                 for t, c in image.items():
                     put(("sum", s.label, t), r, c)
     return rows
@@ -94,17 +94,22 @@ def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
 
 def _multivector_equations(p: MultiVector, supports: Sequence[list]):
     rows: dict = {}
-    live = [(idx, s) for idx, s in enumerate(p.summands) if not s.is_zero()]
+    live = [(idx, _integral(s.comps)) for idx, s in enumerate(p.summands)
+            if not s.is_zero()]
     for r, support in enumerate(supports):
-        for idx, s in live:
-            for t, c in leibniz(support, s.comps).items():
+        for idx, comps in live:
+            for t, c in leibniz(support, comps).items():
                 rows.setdefault(("mv", idx, t), {})[r] = c
     return rows
 
 
+def _integral(comps: dict) -> dict:
+    return {t: int_if_integral(c) for t, c in comps.items()}
+
+
 def _combine(supports: Sequence[list], coeffs: Sequence, n: int) -> Matrix:
     """The n x n matrix sum_r coeffs[r] * B_r, from the column supports."""
-    M = [[Q0] * n for _ in range(n)]
+    M = [[0] * n for _ in range(n)]
     for support, c in zip(supports, coeffs):
         if c:
             for j, col in enumerate(support):
@@ -180,7 +185,6 @@ def nilpotent_intersection(report: StabilizerReport, sigma: tuple) -> list:
 def compare_uS(report: StabilizerReport, subset: ClosedSubset, family: str,
                rank: int, sigma: Optional[tuple] = None) -> tuple:
     """(full equality, nilpotent-part equality) of the stabilizer vs u_S."""
-    from .rootsys import flag_permutation
     us = subset_derivation_matrices(subset, family, rank)
     us_vecs = [_flatten(M) for M in us]
     stab_vecs = [_flatten(M) for M in report.basis]

@@ -8,8 +8,13 @@ import pytest
 
 from usinv.exact import (GradedPoly, MultiVector, Q0, Q1, RowEchelon,
                          SparseMatrix, Summand, column_support, det, eij,
-                         exp_nilpotent, identity, mat_add, mat_mul, mat_scale,
-                         nullspace, pvar, sort_wedge, spans_equal, wedge_apply)
+                         exp_nilpotent, identity, int_if_integral, mat_add,
+                         mat_mul, mat_scale, nullspace, pvar, sort_wedge,
+                         spans_equal, wedge_apply)
+from usinv.points import build_point
+from usinv.rootsys import MatrixLieData, lie_algebra, parse_root
+from usinv.stab import lie_stabilizer
+from usinv.subsets import ClosedSubset, closed_subset_from_roots
 from helpers import (_wedge_derivation, cofactor_det, dense_nullity,
                      dense_rank, random_rational_matrix)
 
@@ -63,6 +68,17 @@ def test_wedge_derivation_repeated_factor_dies():
     v = MultiVector.pure(3, [((1, 3), "w")])
     w = wedge_apply(eij(3, 1, 3), v, mode="derivation")
     assert w.is_zero()
+
+
+def test_wedge_apply_refuses_misshaped_matrix():
+    v = MultiVector.pure(3, [((1, 3), "w")])
+    wide = [row + [Q1] for row in identity(3)]   # 3 x 4
+    narrow = [row[:2] for row in identity(3)]    # 3 x 2
+    tall = identity(3) + [[Q1, Q0, Q0]]          # 4 x 3
+    for A in (wide, narrow, tall, identity(2)):
+        for mode in ("group", "derivation"):
+            with pytest.raises(ValueError, match="3 x 3"):
+                wedge_apply(A, v, mode=mode)
 
 
 def test_wedge_derivation_single_survivor():
@@ -248,3 +264,102 @@ def test_spans_equal():
     b = [{0: Q1}, {1: Fraction(4)}]
     assert spans_equal(a, b)
     assert not spans_equal(a, [{0: Q1}])
+
+
+def _exact_entries(values) -> bool:
+    """Every value is an int or a Fraction: no float, and no bool standing in
+    for a number."""
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def _pivot_entries(ech):
+    return [v for row in ech.pivots.values() for v in row.values()]
+
+
+def test_int_if_integral():
+    assert int_if_integral(Fraction(6, 3)) == 2
+    assert type(int_if_integral(Fraction(6, 3))) is int
+    assert type(int_if_integral(Fraction(-4))) is int
+    assert int_if_integral(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(int_if_integral(7)) is int
+    a = GradedPoly.var(pvar("a"))
+    assert int_if_integral(a) is a
+
+
+def test_row_echelon_integer_rows_with_non_unit_pivots():
+    # pivots 2, 3 and -6: normalizing each must divide exactly
+    rows = [{0: 2, 1: 4, 2: 1}, {1: 3, 2: 1, 3: 2}, {2: -6, 3: 1, 4: 5}]
+    ech = RowEchelon()
+    for row in rows:
+        assert ech.add(row)
+    assert _exact_entries(_pivot_entries(ech))
+    assert [ech.pivots[k][k] for k in sorted(ech.pivots)] == [1, 1, 1]
+    assert ech.pivots[0] == {0: 1, 3: Fraction(-49, 36), 4: Fraction(-5, 36)}
+    fractional = RowEchelon()
+    for row in rows:
+        fractional.add({k: Fraction(v) for k, v in row.items()})
+    assert ech.pivots == fractional.pivots
+    assert ech.contains({0: 4, 1: 11, 2: 3, 3: 2})
+    assert not ech.contains({5: 1})
+
+
+def test_nullspace_int_and_fraction_input_agree():
+    """Integer rows (non-unit pivots 2, 3, -6 among them), the same rows as
+    Fractions, and rows mixing both give one canonical basis of exact
+    entries; a float anywhere, from dividing by an int pivot, fails here."""
+    fixed = [[2, 4, 1, 0, 0, 1], [0, 3, 1, 2, 0, 0], [0, 0, -6, 1, 5, 3]]
+    rng = random.Random(11)
+    cases = [fixed]
+    for rows in range(1, 6):
+        for cols in range(1, 8):
+            cases.append([[rng.choice((0, 0, 1, -1, 2, 3, -6))
+                           for _ in range(cols)] for _ in range(rows)])
+    for M in cases:
+        cols = len(M[0])
+        as_int = nullspace(_sparse(M, cols))
+        as_frac = nullspace(_sparse([[Fraction(x) for x in row] for row in M],
+                                    cols))
+        mixed = nullspace(_sparse(
+            [[Fraction(x, 3) * 3 if (r + c) % 2 else x
+              for c, x in enumerate(row)] for r, row in enumerate(M)], cols))
+        halved = nullspace(_sparse([[Fraction(x, 2) for x in row]
+                                    for row in M], cols))
+        assert as_int == as_frac == mixed == halved
+        for basis in (as_int, as_frac, mixed, halved):
+            assert all(_exact_entries(v) for v in basis)
+        _check_kernel(M, cols, as_int)
+    m = SparseMatrix.from_rows([{0: Fraction(4, 2), 1: Fraction(1, 2)}], 2)
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(m.entries[0, 0]) is int
+
+
+def _flatten(M):
+    return {(i, j): M[i][j] for i in range(len(M)) for j in range(len(M))
+            if M[i][j]}
+
+
+def test_stabilizer_of_scaled_basis_spans_the_same_algebra():
+    """A MatrixLieData basis scaled by 1/2 or by 3 presents the same algebra,
+    so every stabilizer has the same span, with exact entries throughout."""
+    cases = [(ClosedSubset(3, frozenset({(1, 2)})), "A", 2),
+             (ClosedSubset(4, frozenset({(1, 3), (2, 4)})), "A", 3),
+             (ClosedSubset(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 4),
+                                         (3, 4)})), "A", 3),
+             (closed_subset_from_roots(
+                 "B", 2, [parse_root(r, 5) for r in ("L1-L2", "L1")]), "B", 2)]
+    for subset, family, rank in cases:
+        algebra = lie_algebra(family, rank)
+        for alpha in (None, "minimal"):
+            p = build_point(subset, family, rank, alpha=alpha)
+            reference = lie_stabilizer(p, algebra)
+            for scale in (Fraction(1, 2), 3):
+                scaled = MatrixLieData(
+                    algebra.n, tuple(mat_scale(B, scale) for B in algebra.basis),
+                    tuple(mat_scale(T, scale) for T in algebra.torus_basis),
+                    algebra.form, algebra.sigma)
+                report = lie_stabilizer(p, scaled)
+                assert report.dimension == reference.dimension
+                assert spans_equal([_flatten(M) for M in report.basis],
+                                   [_flatten(M) for M in reference.basis])
+                assert all(_exact_entries(row) for M in report.basis
+                           for row in M)

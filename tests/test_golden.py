@@ -122,21 +122,21 @@ def _limit_sweep(family: str, rank: int, sets) -> list:
     return out
 
 
-def _sl3_sets() -> list:
-    return [["--n", "3", "--pairs",
+def _closed_sets(n: int) -> list:
+    return [["--n", str(n), "--pairs",
              ",".join(f"{i}:{j}" for i, j in sorted(s.pairs))]
-            for s in enumerate_closed(3)]
+            for s in enumerate_closed(n)]
 
 
-def _rank2_root_sets() -> list:
-    """Every non-empty closed root set of B_2, C_2 and D_2."""
+def _root_sets(rank: int) -> list:
+    """Every non-empty closed root set of B_rank, C_rank and D_rank."""
     out = []
     for family in "BCD":
-        pos = list(positive_roots(family, 2).positive_roots)
+        pos = list(positive_roots(family, rank).positive_roots)
         for size in range(1, len(pos) + 1):
             for combo in itertools.combinations(pos, size):
-                if roots_are_closed(family, 2, combo, pos):
-                    out.append((family, ["--family", family, "--l", "2",
+                if roots_are_closed(family, rank, combo, pos):
+                    out.append((family, ["--family", family, "--l", str(rank),
                                          "--roots",
                                          ",".join(r.name() for r in combo)]))
     return out
@@ -150,15 +150,28 @@ def _sweep_digest(capsys, commands) -> str:
 
 
 def test_sl3_limit_sweep_digest(capsys):
-    commands = _limit_sweep("A", 2, _sl3_sets())
+    commands = _limit_sweep("A", 2, _closed_sets(3))
     assert len(commands) == 266
     assert _sweep_digest(capsys, commands) == (
         "98fbb43a6832401001a8efd1c10d3c78e4cc0035fff58e92c58a972fe2a9d035")
 
 
 def test_rank2_root_set_limit_sweep_digest(capsys):
-    commands = [argv for family, args in _rank2_root_sets()
+    commands = [argv for family, args in _root_sets(2)
                 for argv in _limit_sweep(family, 2, [args])]
     assert len(commands) == 1250
     assert _sweep_digest(capsys, commands) == (
         "53a41e8779d810f6e2c1b2c6a4bdf6e8cf563430a4f61317b2bd130739a826d5")
+
+
+def test_stab_sweep_digest(capsys):
+    """Every closed SL_5 set, plain and weighted, and every non-empty closed
+    B_3/C_3/D_3 root set, weighted: the stabilizer equations and elimination
+    at the sizes the stab-sweep benchmark runs."""
+    weighted = ["--weighted", "minimal"]
+    commands = [["stab"] + args + extra for args in _closed_sets(5)
+                for extra in ([], weighted)]
+    commands += [["stab"] + args + weighted for _, args in _root_sets(3)]
+    assert len(commands) == 1095
+    assert _sweep_digest(capsys, commands) == (
+        "cc3196f95b3e5085be6624e54910eb9304dd22112c8940c42fd1369f53e19709")
