@@ -5,7 +5,8 @@ Exit codes: 0 pass/converge/covered, 1 check failure, 2 undecided at the
 current truncation, 3 usage error (including inputs that would make a check
 vacuous), 4 internal error (a failed self-check).  Reports never contain
 timestamps, so identical inputs produce byte-identical output; elapsed time
-goes to stderr.
+goes to stderr.  The parser and each Lie algebra are built once per process
+and shared by every command `run` serves.
 """
 
 from __future__ import annotations

@@ -517,8 +517,9 @@ class RowEchelon:
     engine: span membership, ranks and kernels all go through it.
 
     Entries are int or Fraction and mix freely; integral input is kept as
-    int, so rows with +-1 pivots are eliminated in integer arithmetic.  The
-    one division, normalizing a pivot, goes through Fraction.
+    int, so rows with +-1 pivots are eliminated in integer arithmetic: such a
+    row is kept, or negated, as it is.  The one division, normalizing any
+    other pivot, goes through Fraction.
     """
 
     def __init__(self):
@@ -548,9 +549,15 @@ class RowEchelon:
         if not rem:
             return False
         key = min(rem)
-        # 1 / int would be a float
-        inv = 1 / Fraction(rem[key])
-        row = {k: int_if_integral(v * inv) for k, v in rem.items()}
+        pivot = rem[key]
+        if pivot == 1:
+            row = rem
+        elif pivot == -1:
+            row = {k: -v for k, v in rem.items()}
+        else:
+            # 1 / int would be a float
+            inv = 1 / Fraction(pivot)
+            row = {k: int_if_integral(v * inv) for k, v in rem.items()}
         # clear the new pivot key from the other pivot rows
         for prow in self.pivots.values():
             c = prow.get(key)

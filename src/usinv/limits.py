@@ -19,7 +19,7 @@ from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
                     apply_group, column_support, xvar)
 from .points import (WeightedPoint, WeightedSummand, alpha_valid, build_point,
                      default_index_set, flag_prefix_sums)
-from .rootsys import MatrixLieData, ambient_dim, flag_permutation, lie_algebra
+from .rootsys import ambient_dim, flag_permutation, lie_algebra
 from .stab import lie_stabilizer
 from .subsets import ClosedSubset, ColumnFamily
 
@@ -338,12 +338,11 @@ def cocharacter_grid(family: str, rank: int, radius: int):
 
 
 def grosshans_screen(subset: ClosedSubset, family: str, rank: int,
-                     alpha, radius: int,
-                     algebra: Optional[MatrixLieData] = None) -> ScreenReport:
+                     alpha, radius: int) -> ScreenReport:
     """Sweep monomial curves and flag any finite limit whose stabilizer
     dimension exceeds dim u_S by exactly one (a codimension-1 boundary
     witness).  Labeled screening, not proof."""
-    algebra = algebra or lie_algebra(family, rank)
+    algebra = lie_algebra(family, rank)
     if alpha is not None and not isinstance(alpha, str):
         index_set = default_index_set(family, rank)
         if not alpha_valid(tuple(alpha), ambient_dim(family, rank),

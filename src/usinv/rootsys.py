@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Matrix, Q1, RowEchelon, eij, frac_str, zeros
+from .exact import (Matrix, Q1, RowEchelon, column_support, eij, frac_str,
+                    zeros)
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -264,19 +265,31 @@ class MatrixLieData:
 
     basis spans the algebra; torus_basis is the diagonal part; form is the
     invariant bilinear form when one exists; sigma orders a flag preserved
-    by the upper Borel of the presentation.
+    by the upper Borel of the presentation.  supports holds the
+    column_support of each basis element, computed once here.
     """
     n: int
     basis: tuple
     torus_basis: tuple
     form: Optional[Matrix] = None
     sigma: tuple = ()
+    supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sigma:
             object.__setattr__(self, "sigma", tuple(range(1, self.n + 1)))
-        entries = [{(i, j): B[i][j] for i in range(self.n) for j in range(self.n)
-                    if B[i][j]} for B in self.basis]
+        named = [(f"basis element {k}", B) for k, B in enumerate(self.basis)]
+        named += [(f"torus basis element {k}", T)
+                  for k, T in enumerate(self.torus_basis)]
+        if self.form is not None:
+            named.append(("form", self.form))
+        for name, M in named:
+            if len(M) != self.n or any(len(row) != self.n for row in M):
+                raise RootSystemError(f"{name} is not {self.n} x {self.n}")
+        supports = tuple(column_support(B) for B in self.basis)
+        object.__setattr__(self, "supports", supports)
+        entries = [{(i - 1, j): a for j, col in enumerate(support)
+                    for i, a in col} for support in supports]
         ech = RowEchelon()
         for k, vec in enumerate(entries):
             if not ech.add(vec):
@@ -307,8 +320,11 @@ class MatrixLieData:
         return len(self.basis)
 
 
+@functools.cache
 def lie_algebra(family: str, rank: int) -> MatrixLieData:
-    """The standard presentation of sl/so/sp as MatrixLieData.
+    """The standard presentation of sl/so/sp as MatrixLieData.  Memoized:
+    built and validated once per (family, rank) per process and shared by
+    every caller, which must not mutate it.
 
     Basis order: torus first, then root vectors sorted by coefficient
     vector (negatives by their positive partner, after it).

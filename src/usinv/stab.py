@@ -130,7 +130,7 @@ def lie_stabilizer(p, algebra: MatrixLieData) -> StabilizerReport:
         raise StabilizerError("dimension mismatch")
     if p.is_zero():
         raise StabilizerError("point is zero")
-    supports = [column_support(B) for B in algebra.basis]
+    supports = algebra.supports
     rows = equations(p, supports)
     d = len(algebra.basis)
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], d)
@@ -143,6 +143,8 @@ def lie_stabilizer(p, algebra: MatrixLieData) -> StabilizerReport:
 
 def annihilates(A: Matrix, p) -> bool:
     """Exact check that the derivation action of A kills p."""
+    if len(A) != p.n or any(len(row) != p.n for row in A):
+        raise ValueError(f"matrix must be {p.n} x {p.n} for this point")
     if isinstance(p, MultiVector):
         return wedge_apply(A, p, mode="derivation").is_zero()
     return _all_zero(_weighted_equations(p, [column_support(A)]))

@@ -67,13 +67,13 @@ def oracle_closed_count(n):
 # dense rational elimination
 # ---------------------------------------------------------------------------
 
-def dense_rank(rows):
-    """Textbook Gauss elimination on dense Fraction rows."""
+def dense_rref(rows):
+    """Textbook Gauss-Jordan elimination on dense Fraction rows: the nonzero
+    rows of the reduced row echelon form, each with pivot 1."""
     rows = [list(map(Fraction, r)) for r in rows if any(r)]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
-    rank = 0
     row = 0
     for col in range(ncols):
         piv = None
@@ -90,11 +90,14 @@ def dense_rank(rows):
             if r != row and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        rank += 1
         row += 1
         if row == len(rows):
             break
-    return rank
+    return rows[:row]
+
+
+def dense_rank(rows):
+    return len(dense_rref(rows))
 
 
 def dense_nullity(rows, ncols):

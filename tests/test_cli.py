@@ -6,6 +6,7 @@ import json
 import pytest
 
 import usinv.invars
+import usinv.rootsys
 import usinv.stab
 from usinv.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE,
                        UsageError, build_parser, main, parse_pairs, run)
@@ -292,3 +293,36 @@ def test_roots_command(capsys):
     report = json.loads(out)
     assert sorted(report["results"]["root_system"]["roots"]) == sorted(
         [[0, 1], [1, -1], [1, 0], [1, 1]])
+
+
+def test_shared_lie_algebras_are_not_mutated(capsys):
+    """Each Lie algebra is built once per process and shared: after a mixed
+    run of stab, screen and limit commands every algebra used still equals a
+    fresh, uncached build."""
+    commands = [
+        "stab --pairs corpus:boundary-example --weighted minimal",
+        "screen --n 4 --pairs 1:2,3:4 --alpha minimal --radius 2",
+        "limit --pairs corpus:so4-borel --cochar 1,0,-1,0 --weighted minimal",
+        "stab --family B --l 3 --roots L1+L2,L1+L3,L1,L1-L3 --weighted minimal",
+        "screen --family C --l 2 --roots L1-L2,2L2 --alpha minimal --radius 1",
+        "stab --pairs corpus:so4-borel",
+        "stab --n 4 --pairs 1:3,2:4",
+    ]
+    for command in commands:
+        run(command.split())
+    capsys.readouterr()
+    lie_algebra = usinv.rootsys.lie_algebra
+    fresh = lie_algebra.__wrapped__
+    used = [("A", 3), ("B", 3), ("C", 2), ("D", 2)]
+    for family, rank in used:
+        shared = lie_algebra(family, rank)
+        assert (usinv.rootsys.matrix_lie_data_to_json(shared)
+                == usinv.rootsys.matrix_lie_data_to_json(fresh(family, rank)))
+        assert shared.supports == fresh(family, rank).supports
+    assert lie_algebra.cache_info().currsize >= len(used)
+
+
+def test_invalid_rank_refused_on_every_call(capsys):
+    for _ in range(3):
+        assert _exit_code(["stab", "--n", "1"]) == EXIT_USAGE
+        assert "unsupported rank 0" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from usinv.rootsys import MatrixLieData, lie_algebra, parse_root
 from usinv.stab import lie_stabilizer
 from usinv.subsets import ClosedSubset, closed_subset_from_roots
 from helpers import (_wedge_derivation, cofactor_det, dense_nullity,
-                     dense_rank, random_rational_matrix)
+                     dense_rank, dense_rref, random_rational_matrix)
 
 
 def test_poly_arithmetic():
@@ -301,6 +301,42 @@ def test_row_echelon_integer_rows_with_non_unit_pivots():
     assert ech.pivots == fractional.pivots
     assert ech.contains({0: 4, 1: 11, 2: 3, 3: 2})
     assert not ech.contains({5: 1})
+
+
+def test_row_echelon_unit_and_non_unit_pivots():
+    """Pivots +1, -1 and non-unit ones: rows with a unit pivot stay int
+    (negated for -1), the pivot rows equal the reduced echelon form computed
+    densely over Fraction, and no row of the input is stored by reference."""
+    dense = [[1, 0, 3, -2, 0, 1], [0, -1, 2, 0, 1, 0], [0, 0, 4, 1, -3, 2],
+             [2, 1, 0, 5, 7, 0], [1, -1, 5, -2, 1, 1], [0, 0, 0, 3, 0, -6]]
+    rows = [{k: v for k, v in enumerate(r) if v} for r in dense]
+    ech = RowEchelon()
+    seen = []
+    for row in rows:
+        rem = ech.reduce(row)
+        if not rem:
+            assert not ech.add(row)
+            continue
+        key = min(rem)
+        seen.append(rem[key])
+        assert ech.add(row)
+        if rem[key] in (1, -1):
+            assert ech.pivots[key] == {k: v * rem[key] for k, v in rem.items()}
+            assert all(type(v) is int for v in ech.pivots[key].values())
+    assert 1 in seen and -1 in seen and any(v not in (1, -1) for v in seen)
+    assert ech.rank == dense_rank(dense) == 5
+    assert _exact_entries(_pivot_entries(ech))
+    reference = {}
+    for r in dense_rref(dense):
+        lead = next(k for k, v in enumerate(r) if v)
+        reference[lead] = {k: v for k, v in enumerate(r) if v}
+    assert ech.pivots == reference
+    stored = {k: dict(row) for k, row in ech.pivots.items()}
+    for row in rows:
+        assert all(prow is not row for prow in ech.pivots.values())
+        for k in row:
+            row[k] = 99
+    assert ech.pivots == stored
 
 
 def test_nullspace_int_and_fraction_input_agree():

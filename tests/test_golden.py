@@ -13,7 +13,8 @@ import pytest
 from usinv.cli import run
 from usinv.limits import cocharacter_grid
 from usinv.rootsys import positive_roots
-from usinv.subsets import enumerate_closed, roots_are_closed
+from usinv.subsets import (enumerate_closed, roots_are_closed,
+                           transitive_closure)
 
 D3_BOREL = "L1-L2,L1+L2,L1-L3,L1+L3,L2-L3,L2+L3"
 B3_BOREL = D3_BOREL + ",L1,L2,L3"
@@ -175,3 +176,33 @@ def test_stab_sweep_digest(capsys):
     assert len(commands) == 1095
     assert _sweep_digest(capsys, commands) == (
         "cc3196f95b3e5085be6624e54910eb9304dd22112c8940c42fd1369f53e19709")
+
+
+def _pairs_arg(subset) -> str:
+    return ",".join(f"{i}:{j}" for i, j in sorted(subset.pairs))
+
+
+def test_interleaved_families_digest(capsys):
+    """Weighted SL_6, B_3, C_3 and D_3 stab commands interleaved with SL_4
+    screens in one process, with the first round repeated at the end.  Each
+    Lie algebra is built once per process and shared, so one family's
+    algebra leaking into another's command, or a caller mutating a shared
+    algebra, changes these bytes; the one-family sweeps cannot see either."""
+    weighted = ["--weighted", "minimal"]
+    gens = [[(1, 2)], [(1, 3), (2, 4)], [(1, 2), (3, 4), (5, 6)], [(1, 6)],
+            [(2, 5), (1, 3)], [(1, 2), (2, 3), (4, 5)], [(3, 6), (1, 4)],
+            [(k, k + 1) for k in range(1, 6)]]
+    sl6 = [["--n", "6", "--pairs", _pairs_arg(transitive_closure(6, g))]
+           for g in gens]
+    roots = {f: [args for fam, args in _root_sets(3) if fam == f] for f in "BCD"}
+    sl4 = [args for args in _closed_sets(4) if args[-1]]
+    commands = []
+    for k in list(range(len(gens))) + [0]:
+        commands.append(["stab"] + sl6[k] + weighted)
+        for f in "BCD":
+            commands.append(["stab"] + roots[f][5 * k] + weighted)
+        commands.append(["screen"] + sl4[4 * k]
+                        + ["--alpha", "minimal", "--radius", "1"])
+    assert len(commands) == 45
+    assert _sweep_digest(capsys, commands) == (
+        "66fc5137095dfdfcf6caaf3e88a45c1b995d1680e43cd4e6d1f0025a811f3754")

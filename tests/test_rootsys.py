@@ -3,8 +3,9 @@
 import pytest
 from fractions import Fraction
 
-from usinv.exact import (det, exp_nilpotent, mat_add, mat_eq, mat_is_zero,
-                         mat_mul, mat_scale, mat_transpose)
+from usinv.exact import (column_support, det, eij, exp_nilpotent, mat_add,
+                         mat_eq, mat_is_zero, mat_mul, mat_scale,
+                         mat_transpose, zeros)
 from usinv.rootsys import (MatrixLieData, Root, RootSystemError,
                            bilinear_form,
                            find_generating_subsets, flag_permutation,
@@ -152,6 +153,30 @@ def test_lie_algebra_dimensions():
     assert lie_algebra("B", 2).dim == 10
     assert lie_algebra("C", 2).dim == 10
     assert lie_algebra("D", 2).dim == 6
+
+
+def test_lie_algebra_built_once_with_column_supports():
+    for family, rank in (("A", 2), ("A", 5), ("B", 3), ("C", 2), ("D", 3)):
+        algebra = lie_algebra(family, rank)
+        assert lie_algebra(family, rank) is algebra
+        assert algebra.supports == tuple(column_support(B)
+                                         for B in algebra.basis)
+
+
+def test_matrix_lie_data_refuses_mis_sized_elements():
+    """A 4 x 4 element used to be reported as linearly dependent and a
+    2 x 2 one raised IndexError; each is now named with the expected shape."""
+    good = (eij(3, 1, 2), eij(3, 2, 1))
+    for bad in (eij(4, 1, 2), eij(2, 1, 2), [row[:2] for row in eij(3, 1, 3)]):
+        with pytest.raises(RootSystemError,
+                           match=r"^basis element 2 is not 3 x 3$"):
+            MatrixLieData(n=3, basis=good + (bad,), torus_basis=())
+        with pytest.raises(RootSystemError,
+                           match=r"^torus basis element 0 is not 3 x 3$"):
+            MatrixLieData(n=3, basis=good, torus_basis=(bad,))
+        with pytest.raises(RootSystemError, match=r"^form is not 3 x 3$"):
+            MatrixLieData(n=3, basis=good, torus_basis=(), form=bad)
+    assert MatrixLieData(n=3, basis=good, torus_basis=(zeros(3),)).dim == 2
 
 
 def test_matrix_lie_data_validates():

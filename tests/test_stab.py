@@ -2,7 +2,7 @@
 
 import pytest
 
-from usinv.exact import MultiVector, eij, mat_eq, spans_equal
+from usinv.exact import MultiVector, eij, mat_eq, spans_equal, zeros
 from usinv.invars import InvariantError, subset_derivation_matrices
 from usinv.limits import Cocharacter, cochar_limit
 from usinv.points import build_point
@@ -184,3 +184,19 @@ def test_subset_derivation_matrices_bcd_requires_roots():
     S = ClosedSubset(4, frozenset({(1, 2)}))
     with pytest.raises(InvariantError):
         subset_derivation_matrices(S, "D", 2)
+
+
+def test_annihilates_refuses_mis_sized_matrix():
+    """Plain and weighted points refuse a matrix of the wrong shape with one
+    message; a weighted point used to accept 3 x 4 and 4 x 4 matrices and
+    raise IndexError on 3 x 2."""
+    S = ClosedSubset(3, frozenset({(1, 2)}))
+    for alpha in (None, "minimal"):
+        p = build_point(S, "A", 2, alpha=alpha)
+        for rows, cols in ((3, 4), (4, 4), (3, 2)):
+            M = [[0] * cols for _ in range(rows)]
+            with pytest.raises(ValueError,
+                               match=r"^matrix must be 3 x 3 for this point$"):
+                annihilates(M, p)
+        assert annihilates(zeros(3), p) and annihilates(eij(3, 1, 2), p)
+        assert not annihilates(eij(3, 2, 1), p)
