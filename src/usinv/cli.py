@@ -28,7 +28,8 @@ from .rootsys import (ambient_dim, lie_algebra, parse_root, positive_roots,
                       root_system_to_json)
 from .stab import compare_uS, lie_stabilizer
 from .subsets import (ClosedSubset, closed_subset_from_roots, column_sets,
-                      enumerate_closed, is_closed, transitive_closure)
+                      enumerate_closed, is_closed, roots_are_closed,
+                      transitive_closure)
 
 SCHEMA = "usinv-report/1"
 
@@ -192,7 +193,13 @@ def build_parser() -> _Parser:
 def _cmd_closed(args) -> tuple:
     if args.subcommand == "check":
         subset, family, rank = _resolve_subset(args)
-        closed = is_closed(subset.n, subset.pairs)
+        if subset.source_roots is None:
+            closed = is_closed(subset.n, subset.pairs)
+        else:
+            # the induced pairs are saturated already; test the roots
+            positive = positive_roots(family, rank).positive_roots
+            closed = roots_are_closed(family, rank, subset.source_roots,
+                                      positive)
         results = {"closed": closed,
                    "subset": subset.to_json()}
         if closed:

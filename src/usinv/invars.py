@@ -12,12 +12,11 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, Q0, Q1, RowEchelon, SelfCheckError,
-                    SparseMatrix, column_support, eij, mono_mul, nullspace,
-                    xvar)
-from .rootsys import root_subgroup_matrix
+                    SparseMatrix, column_support, mono_mul, nullspace, xvar)
+from .rootsys import Root, lie_algebra, root_index
 from .subsets import ClosedSubset, ColumnFamily, column_sets
 
 
@@ -63,28 +62,26 @@ def derivation_terms(support: list, terms: dict) -> dict:
     return out
 
 
-def derivation(pair_or_matrix, n: Optional[int] = None) -> Callable[[GradedPoly], GradedPoly]:
-    """Derivation operator for a root pair (a, b) or a full matrix."""
-    if isinstance(pair_or_matrix, tuple):
-        a, b = pair_or_matrix
-        if a == b:
-            raise InvariantError("root pair needs distinct indices")
-        if n is None:
-            raise InvariantError("pair form needs the ambient dimension")
-        A = eij(n, a, b)
-    else:
-        A = pair_or_matrix
-    return lambda f: apply_derivation_poly(A, f)
-
-
-def subset_derivation_matrices(subset: ClosedSubset, family: str,
-                               rank: int) -> list:
-    """Generator matrices whose derivations cut out the invariants of S."""
+def subset_roots(subset: ClosedSubset, family: str) -> list:
+    """The roots of S: each type A pair (i, j), in sorted order, read as the
+    root L_i - L_j; for B/C/D the roots S was built from."""
     if family == "A":
-        return [eij(subset.n, i, j) for (i, j) in subset.sorted_pairs()]
+        roots = []
+        for (i, j) in subset.sorted_pairs():
+            v = [0] * subset.n
+            v[i - 1], v[j - 1] = 1, -1
+            roots.append(Root(tuple(v)))
+        return roots
     if subset.source_roots is None:
         raise InvariantError("B/C/D subsets need source roots")
-    return [root_subgroup_matrix(family, rank, r) for r in subset.source_roots]
+    return list(subset.source_roots)
+
+
+def subset_basis_indices(subset: ClosedSubset, family: str,
+                         rank: int) -> list:
+    """Indices in lie_algebra(family, rank) of the generators whose
+    derivations cut out the invariants of S."""
+    return [root_index(family, rank, r) for r in subset_roots(subset, family)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +199,11 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
     if len(monos) > cap:
         raise InvariantError(f"{len(monos)} monomials of degree {d} exceed "
                              f"the cap {cap}; raise it with USINV_CAP")
-    supports = [column_support(A) for A in
-                subset_derivation_matrices(subset, family, rank)]
+    indices = subset_basis_indices(subset, family, rank)
+    supports = []
+    if indices:  # an empty S builds no algebra: SL_1 has none
+        algebra = lie_algebra(family, rank)
+        supports = [algebra.supports[k] for k in indices]
     rows: dict = {}
     for a, support in enumerate(supports):
         for c, mono in enumerate(monos):

@@ -15,8 +15,9 @@ from typing import Mapping, Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, exp_nilpotent,
                     frac_str, mat_mul, mat_substitute, pvar, sort_wedge)
-from .rootsys import (MatrixLieData, Root, ambient_dim, find_generating_subsets,
-                      flag_permutation, root_subgroup_matrix)
+from .invars import subset_roots
+from .rootsys import (MatrixLieData, ambient_dim, find_generating_subsets,
+                      flag_permutation, lie_algebra, root_index)
 from .subsets import ClosedSubset, ColumnFamily, column_sets, is_closed
 
 
@@ -24,40 +25,18 @@ class PointError(ValueError):
     pass
 
 
-def _pairs_to_roots(subset: ClosedSubset) -> list:
-    """Type A pairs as roots, for uniform ordering."""
-    roots = []
-    for (i, j) in subset.pairs:
-        v = [0] * subset.n
-        v[i - 1], v[j - 1] = 1, -1
-        roots.append(Root(tuple(v)))
-    return roots
-
-
-def _leading_position(g: Matrix) -> tuple:
-    n = len(g)
-    for i in range(n):
-        for j in range(n):
-            if g[i][j]:
-                return (i + 1, j + 1)
-    raise PointError("zero generator")
-
-
 def product_order(subset: ClosedSubset, family: str, rank: int) -> list:
-    """Roots of S in the order used for the U_S product chart: height first,
-    ties broken by the row-major position of the leading matrix entry."""
-    if family == "A":
-        roots = _pairs_to_roots(subset)
-    else:
-        if subset.source_roots is None:
-            raise PointError("B/C/D subsets need source roots")
-        roots = list(subset.source_roots)
-
-    def key(root: Root):
-        g = root_subgroup_matrix(family, rank, root)
-        return (root.height(family, rank), _leading_position(g), root.coeffs)
-
-    return sorted(roots, key=key)
+    """(leading entry, basis index) of each generator of S, in the order used
+    for the U_S product chart: root height first, ties broken by the
+    row-major position (i, j) of the leading entry of the generator."""
+    keyed = []
+    for root in subset_roots(subset, family):
+        k = root_index(family, rank, root)
+        support = lie_algebra(family, rank).supports[k]
+        lead = min((i, j) for j, col in enumerate(support, start=1)
+                   for i, _ in col)
+        keyed.append((root.height(family, rank), lead, k))
+    return [(lead, k) for _, lead, k in sorted(keyed)]
 
 
 def _param_names(count: int) -> list:
@@ -103,21 +82,19 @@ def build_us(subset: ClosedSubset, family: str, rank: int) -> UnipotentPattern:
     if family == "A" and not is_closed(subset.n, subset.pairs):
         raise PointError("subset is not transitively closed")
     cols = column_sets(subset, family, rank)
-    roots = product_order(subset, family, rank)
-    names = _param_names(len(roots))
+    order = product_order(subset, family, rank)
+    names = _param_names(len(order))
     M = [[GradedPoly.const(1) if i == j else GradedPoly() for j in range(subset.n)]
          for i in range(subset.n)]
-    positions = []
-    for name, root in zip(names, roots):
-        g = root_subgroup_matrix(family, rank, root)
-        positions.append(_leading_position(g))
+    for name, (_, k) in zip(names, order):
+        g = lie_algebra(family, rank).basis[k]
         M = mat_mul(M, exp_nilpotent(g, GradedPoly.var(pvar(name))))
     for i in range(1, subset.n + 1):
         for j in range(1, subset.n + 1):
             if i != j and M[i - 1][j - 1] and i not in cols[j]:
                 raise PointError(f"entry ({i},{j}) escapes the column sets")
     return UnipotentPattern(subset.n, family, rank, M, tuple(names),
-                            tuple(positions), cols)
+                            tuple(lead for lead, _ in order), cols)
 
 
 def so_parameter_property(u: UnipotentPattern) -> bool:

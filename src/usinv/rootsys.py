@@ -345,6 +345,19 @@ def lie_algebra(family: str, rank: int) -> MatrixLieData:
                          sigma=flag_permutation(family, rank))
 
 
+@functools.cache
+def root_index(family: str, rank: int, root: Root) -> int:
+    """Index of the generator of a positive or negative root in the basis of
+    lie_algebra(family, rank): rank + 2 * position among the positive roots,
+    plus 1 for a negative root.  Needs no algebra to be built.  Memoized."""
+    roots = positive_roots(family, rank).positive_roots
+    if root in roots:
+        return rank + 2 * roots.index(root)
+    if -root in roots:
+        return rank + 2 * roots.index(-root) + 1
+    raise RootSystemError(f"{root.name()} is not a root of {family}{rank}")
+
+
 def entry_functionals(data: MatrixLieData) -> dict:
     """Map (i, j) 1-based -> vector of entry values over the basis."""
     out = {}

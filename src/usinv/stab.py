@@ -10,15 +10,15 @@ against a direct tensor expansion at small alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exact import (Matrix, MultiVector, SelfCheckError, SparseMatrix,
-                    column_support, frac_str, int_if_integral, leibniz,
-                    nullspace, spans_equal, wedge_apply)
-from .invars import subset_derivation_matrices
+from .exact import (Matrix, MultiVector, RowEchelon, SelfCheckError,
+                    SparseMatrix, column_support, frac_str, int_if_integral,
+                    leibniz, nullspace, wedge_apply)
+from .invars import subset_basis_indices
 from .points import WeightedPoint, flag_prefix_sums
-from .rootsys import MatrixLieData, flag_permutation
+from .rootsys import MatrixLieData, positive_roots, root_index
 from .subsets import ClosedSubset
 
 
@@ -31,6 +31,7 @@ class StabilizerReport:
     dimension: int
     basis: list                      # matrices spanning {A in g : A.p = 0}
     algebra_dim: int
+    kernel: list = field(repr=False)  # coordinates of basis; not serialized
     equals_uS: Optional[bool] = None
     nilpotent_part_equals_uS: Optional[bool] = None
     us_dimension: Optional[int] = None
@@ -134,11 +135,13 @@ def lie_stabilizer(p, algebra: MatrixLieData) -> StabilizerReport:
     rows = equations(p, supports)
     d = len(algebra.basis)
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], d)
-    basis = [_combine(supports, vec, algebra.n) for vec in nullspace(matrix)]
+    kernel = nullspace(matrix)
+    basis = [_combine(supports, vec, algebra.n) for vec in kernel]
     # re-derive the equations from the reported matrices, one column each
     if not _all_zero(equations(p, [column_support(M) for M in basis])):
         raise SelfCheckError("reported basis element fails to annihilate")
-    return StabilizerReport(dimension=len(basis), basis=basis, algebra_dim=d)
+    return StabilizerReport(dimension=len(basis), basis=basis, algebra_dim=d,
+                            kernel=kernel)
 
 
 def annihilates(A: Matrix, p) -> bool:
@@ -154,57 +157,33 @@ def _all_zero(rows: dict) -> bool:
     return not any(v for row in rows.values() for v in row.values())
 
 
-def _flatten(M: Matrix) -> dict:
-    return {(i, j): M[i][j] for i in range(len(M)) for j in range(len(M))
-            if M[i][j]}
-
-
-def _strict_upper_positions(n: int, sigma: tuple) -> list:
-    inv = {v: i for i, v in enumerate(sigma)}
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-            if inv[i] < inv[j]]
-
-
-def nilpotent_intersection(report: StabilizerReport, sigma: tuple) -> list:
-    """Basis of the stabilizer's intersection with the strictly triangular
-    part in sigma-order."""
-    if not report.basis:
-        return []
-    n = len(report.basis[0])
-    upper = set(_strict_upper_positions(n, sigma))
-    supports = [column_support(M) for M in report.basis]
-    rows = {}
-    for r, support in enumerate(supports):
-        for j, col in enumerate(support, start=1):
-            for i, a in col:
-                if (i, j) not in upper:
-                    rows.setdefault((i, j), {})[r] = a
-    matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)],
-                                    len(report.basis))
-    return [_combine(supports, vec, n) for vec in nullspace(matrix)]
+def _spans_coordinates(supports: list, us: set) -> bool:
+    """Whether independent vectors with these supports span exactly the
+    coordinate subspace on the indices in us."""
+    return len(supports) == len(us) and all(s <= us for s in supports)
 
 
 def compare_uS(report: StabilizerReport, subset: ClosedSubset, family: str,
-               rank: int, sigma: Optional[tuple] = None) -> tuple:
-    """(full equality, nilpotent-part equality) of the stabilizer vs u_S."""
-    us = subset_derivation_matrices(subset, family, rank)
-    us_vecs = [_flatten(M) for M in us]
-    stab_vecs = [_flatten(M) for M in report.basis]
-    full = spans_equal(stab_vecs, us_vecs)
-    sigma = sigma or flag_permutation(family, rank)
-    nil = nilpotent_intersection(report, sigma)
-    nil_eq = spans_equal([_flatten(M) for M in nil], us_vecs)
+               rank: int) -> tuple:
+    """(full equality, nilpotent-part equality) of the stabilizer vs u_S,
+    decided in the coordinates of lie_algebra(family, rank), where u_S is
+    spanned by the basis elements of S.  Positive root vectors are strictly
+    upper triangular in flag order, negative ones strictly lower and the
+    torus diagonal, so the nilpotent part is the stabilizer's meet with the
+    span of the positive root coordinates."""
+    us = set(subset_basis_indices(subset, family, rank))
+    positive = {root_index(family, rank, r)
+                for r in positive_roots(family, rank).positive_roots}
+    # keys off the positive roots sort first, so the echelon rows pivoting on
+    # a positive root coordinate span the meet with those coordinates
+    ech = RowEchelon()
+    for vec in report.kernel:
+        ech.add({(k in positive, k): c for k, c in enumerate(vec) if c})
+    rows = [({k for _, k in row}, nilpotent)
+            for (nilpotent, _), row in ech.pivots.items()]
+    full = _spans_coordinates([s for s, _ in rows], us)
+    nil_eq = _spans_coordinates([s for s, nilpotent in rows if nilpotent], us)
     report.equals_uS = full
     report.nilpotent_part_equals_uS = nil_eq
     report.us_dimension = len(us)
     return full, nil_eq
-
-
-def is_strictly_triangular(M: Matrix, sigma: tuple) -> bool:
-    n = len(M)
-    upper = set(_strict_upper_positions(n, sigma))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if M[i - 1][j - 1] and (i, j) not in upper:
-                return False
-    return True

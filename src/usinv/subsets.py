@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .rootsys import Root, ambient_dim, root_subgroup_matrix
+from .rootsys import Root, ambient_dim, lie_algebra, root_index
 
 
 class SubsetError(ValueError):
@@ -85,20 +85,20 @@ def transitive_closure(n: int, pairs: Iterable[tuple]) -> ClosedSubset:
 
 def pairs_from_roots(family: str, rank: int, roots: Sequence[Root]) -> frozenset:
     """Induced SL_n pair relations: the off-diagonal entry support of each
-    root matrix."""
+    root generator, read off the cached Lie algebra."""
     pairs = set()
     for root in roots:
-        g = root_subgroup_matrix(family, rank, root)
-        n = len(g)
-        for i in range(n):
-            for j in range(n):
-                if i != j and g[i][j]:
-                    pairs.add((i + 1, j + 1))
+        support = lie_algebra(family, rank).supports[
+            root_index(family, rank, root)]
+        pairs.update((i, j) for j, col in enumerate(support, start=1)
+                     for i, _ in col if i != j)
     return frozenset(pairs)
 
 
 def closed_subset_from_roots(family: str, rank: int,
                              roots: Sequence[Root]) -> ClosedSubset:
+    if len(set(roots)) != len(roots):
+        raise SubsetError("root set has repeats")
     n = ambient_dim(family, rank)
     closed = transitive_closure(n, pairs_from_roots(family, rank, roots))
     return ClosedSubset(n, closed.pairs, source_roots=tuple(roots))

@@ -104,6 +104,67 @@ def dense_nullity(rows, ncols):
     return ncols - dense_rank(rows) if rows else ncols
 
 
+def dense_kernel(rows, ncols):
+    """Kernel basis of dense rows over ncols columns, one vector per free
+    column of the reduced row echelon form."""
+    rref = dense_rref(rows)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rref]
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Q0] * ncols
+        vec[f] = Q1
+        for r, p in zip(rref, pivots):
+            vec[p] = -r[f]
+        out.append(vec)
+    return out
+
+
+def same_span(a, b):
+    """Whether two lists of dense vectors span the same space."""
+    return dense_rank(a) == dense_rank(b) == dense_rank(list(a) + list(b))
+
+
+def pair_generators(subset):
+    """The matrix units E_ij, one per pair (i, j) of a type A subset, in
+    sorted pair order: the generators of u_S."""
+    out = []
+    for i, j in sorted(subset.pairs):
+        M = [[Q0] * subset.n for _ in range(subset.n)]
+        M[i - 1][j - 1] = Q1
+        out.append(M)
+    return out
+
+
+def is_strictly_triangular(M, sigma):
+    """Whether every nonzero entry (i, j) of M has i before j in sigma."""
+    pos = {v: k for k, v in enumerate(sigma)}
+    n = len(M)
+    return all(not M[i - 1][j - 1] or pos[i] < pos[j]
+               for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def reference_compare_uS(basis, us, sigma):
+    """(full, nilpotent-part) equality of span(basis) with span(us) on
+    flattened matrix entries.  The nilpotent part is the meet of span(basis)
+    with the matrices that are strictly upper triangular in sigma order."""
+    n = len(sigma)
+    pos = {v: k for k, v in enumerate(sigma)}
+
+    def flat(M):
+        return [Fraction(M[i][j]) for i in range(n) for j in range(n)]
+
+    vecs = [flat(M) for M in basis]
+    off_upper = [i * n + j for i in range(n) for j in range(n)
+                 if pos[i + 1] >= pos[j + 1]]
+    rows = [[v[e] for v in vecs] for e in off_upper]
+    nil = [[sum(y * v[e] for y, v in zip(ys, vecs)) for e in range(n * n)]
+           for ys in dense_kernel(rows, len(vecs))]
+    us_vecs = [flat(M) for M in us]
+    return same_span(vecs, us_vecs), same_span(nil, us_vecs)
+
+
 # ---------------------------------------------------------------------------
 # independent derivation on dense exponent vectors
 # ---------------------------------------------------------------------------

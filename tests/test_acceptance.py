@@ -12,8 +12,7 @@ from usinv.cli import run as cli_run
 from usinv.corpus import corpus_names
 from usinv.exact import GradedPoly, mat_substitute, pvar
 from usinv.invars import (Minor, apply_derivation_poly, generation_check,
-                          invariant_space, is_invariant_minor,
-                          subset_derivation_matrices)
+                          invariant_space, is_invariant_minor)
 from usinv.limits import (Cocharacter, cochar_limit, exponent_lemma_check,
                           grosshans_screen, wedge_coefficient_check)
 from usinv.points import build_point, build_us, minimal_alpha
@@ -22,7 +21,7 @@ from usinv.stab import compare_uS, lie_stabilizer
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
                            column_sets, enumerate_closed)
 from helpers import (oracle_closed_count, oracle_invariant_dimension,
-                     random_closed_pairs)
+                     pair_generators, random_closed_pairs)
 
 BOUNDARY = frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)})
 
@@ -143,7 +142,7 @@ def test_criterion_4_minor_criterion_vs_derivation():
     for n in (2, 3, 4):
         for S in enumerate_closed(n):
             cols = column_sets(S, "A", n - 1)
-            mats = subset_derivation_matrices(S, "A", n - 1)
+            mats = pair_generators(S)
             for size in range(1, n + 1):
                 for columns in itertools.combinations(range(1, n + 1), size):
                     for rows in itertools.combinations(range(1, n + 1), size):
@@ -165,7 +164,7 @@ def test_criterion_5_invariant_dimensions_vs_oracle():
 
     swept = 0
     for S in enumerate_closed(3):
-        mats = subset_derivation_matrices(S, "A", 2)
+        mats = pair_generators(S)
         for d in (1, 2, 3):
             got = invariant_space(S, "A", 2, d).dimension
             want = oracle_invariant_dimension(mats, 3, d)

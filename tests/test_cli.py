@@ -47,6 +47,37 @@ def test_closed_check_fail(capsys):
         (1, 2), (1, 3), (2, 3)]
 
 
+def test_closed_check_bcd_root_sets(capsys):
+    """Closure of a B/C/D root set is decided on the roots: the induced pairs
+    are saturated before the check, so D_3 {L1-L2, L2-L3} used to report
+    closed with exit 0 although L1-L3 is missing."""
+    code, out = _run_capture(capsys, ["closed", "check", "--family", "D",
+                                      "--l", "3", "--roots", "L1-L2,L2-L3"])
+    assert code == EXIT_FAIL
+    assert json.loads(out)["results"]["closed"] is False
+    # closed root sets keep their reports, digests recorded before the fix
+    for command, digest in (
+            ("closed check --family D --l 3 --roots L1-L2,L2-L3,L1-L3",
+             "962ee5a541fd8009bb2d5073aae26a8148fe13aeb0e53868cb3888ce2033ba15"),
+            ("closed check --family B --l 2 --roots L1-L2,L1+L2,L1,L2",
+             "6558d67821738804df42aced6a4ace069c8ed09da840da044dad2cd0f335784c"),
+            ("closed check --pairs corpus:sp4-closed",
+             "b1b48b54fc930b0be05870ab14abc562c15a89fe2a386a4eb5956ba9fef615b7")):
+        code, out = _run_capture(capsys, command.split())
+        assert code == EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_repeated_roots_refused(capsys):
+    """A repeated root used to pass: D_2 {L1-L2, L1-L2} reported dimension 1,
+    us_dimension 2 and equals_uS true."""
+    for command in ("stab --family D --l 2 --roots L1-L2,L1-L2 "
+                    "--weighted minimal",
+                    "closed check --family D --l 2 --roots L1-L2,L1-L2"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert "root set has repeats" in capsys.readouterr().err
+
+
 def test_closed_enumerate(tmp_path, capsys):
     out_file = tmp_path / "closed3.json"
     code = run(["closed", "enumerate", "--n", "3", "--out", str(out_file)])
@@ -137,6 +168,16 @@ def test_invariants_command(capsys):
     report = json.loads(out)
     dims = [(g["degree"], g["dimension"]) for g in report["results"]["graded"]]
     assert dims == [(1, 2), (2, 4)]
+
+
+def test_invariants_sl1_builds_no_algebra(capsys):
+    """The empty set of SL_1 needs no Lie algebra; lie_algebra("A", 0)
+    raises."""
+    code, out = _run_capture(capsys, ["invariants", "--n", "1",
+                                      "--degree", "2"])
+    assert code == EXIT_PASS
+    graded = json.loads(out)["results"]["graded"]
+    assert [g["dimension"] for g in graded] == [1, 1]
 
 
 def test_corpus_inventory(capsys):
@@ -307,6 +348,8 @@ def test_shared_lie_algebras_are_not_mutated(capsys):
         "screen --family C --l 2 --roots L1-L2,2L2 --alpha minimal --radius 1",
         "stab --pairs corpus:so4-borel",
         "stab --n 4 --pairs 1:3,2:4",
+        "point --pairs corpus:sp4-closed --weighted minimal",
+        "invariants --family B --l 3 --roots L1+L2,L1 --degree 1",
     ]
     for command in commands:
         run(command.split())

@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from usinv.exact import Q0, GradedPoly, xvar
+from usinv.exact import Q0, GradedPoly, eij, xvar
 from usinv.invars import (InvariantError, Minor, apply_derivation_poly,
-                          derivation, generation_check, invariant_space,
+                          generation_check, invariant_space,
                           is_invariant_minor, minor_poly,
-                          principal_column_sets, principal_minors,
-                          subset_derivation_matrices)
+                          principal_column_sets, principal_minors)
 from usinv.rootsys import parse_root
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
                            column_sets, enumerate_closed)
 from helpers import (dense_derivation_image, dense_monomials,
-                     oracle_invariant_dimension, random_rational_matrix)
+                     oracle_invariant_dimension, pair_generators,
+                     random_rational_matrix)
 
 
 def x(i, j):
@@ -24,19 +24,19 @@ def x(i, j):
 
 
 def test_derivation_examples():
-    d12 = derivation((1, 2), n=2)
-    assert d12(x(1, 2)) == x(1, 1)
+    e12 = eij(2, 1, 2)
+    assert apply_derivation_poly(e12, x(1, 2)) == x(1, 1)
     det2 = minor_poly([1, 2], [1, 2])
-    assert d12(det2).is_zero()
-    d13 = derivation((1, 3), n=3)
-    assert d13(x(2, 1)).is_zero()
+    assert apply_derivation_poly(e12, det2).is_zero()
+    assert apply_derivation_poly(eij(3, 1, 3), x(2, 1)).is_zero()
 
 
 def test_derivation_leibniz():
-    d12 = derivation((1, 2), n=2)
+    e12 = eij(2, 1, 2)
     f, g = x(1, 2), x(2, 2)
-    lhs = d12(f * g)
-    rhs = d12(f) * g + f * d12(g)
+    lhs = apply_derivation_poly(e12, f * g)
+    rhs = (apply_derivation_poly(e12, f) * g
+           + f * apply_derivation_poly(e12, g))
     assert lhs == rhs
 
 
@@ -81,11 +81,6 @@ def test_apply_derivation_poly_matches_dense_oracle():
                     k: v for k, v in want.items() if v}
 
 
-def test_derivation_rejects_diagonal_pair():
-    with pytest.raises(InvariantError):
-        derivation((1, 1), n=2)
-
-
 def test_minor_poly_convention():
     # columns {1,2}, rows {1,2}: x11 x22 - x12 x21
     det2 = minor_poly([1, 2], [1, 2])
@@ -112,7 +107,7 @@ def test_criterion_matches_derivation():
     for n in (2, 3):
         for S in enumerate_closed(n):
             cols = column_sets(S, "A", n - 1)
-            mats = subset_derivation_matrices(S, "A", n - 1)
+            mats = pair_generators(S)
             for size in range(1, n + 1):
                 for columns in itertools.combinations(range(1, n + 1), size):
                     for rows in itertools.combinations(range(1, n + 1), size):
@@ -181,7 +176,7 @@ def test_invariant_space_matches_dense_oracle():
     for n, dmax in ((2, 3), (3, 3)):
         subs = enumerate_closed(n)
         for S in subs:
-            mats = subset_derivation_matrices(S, "A", n - 1)
+            mats = pair_generators(S)
             for d in range(1, dmax + 1):
                 got = invariant_space(S, "A", n - 1, d).dimension
                 want = oracle_invariant_dimension(mats, n, d)
@@ -217,7 +212,7 @@ def test_cap_env_override(monkeypatch):
 def test_invariants_closed_under_derivation_products():
     # spot check: the span used by the generation check is derivation-closed
     S = ClosedSubset(2, frozenset({(1, 2)}))
-    mats = subset_derivation_matrices(S, "A", 1)
+    mats = pair_generators(S)
     cols = column_sets(S, "A", 1)
     minors = principal_minors(cols, (1, 2))
     for m1, m2 in itertools.combinations(minors, 2):

@@ -10,7 +10,9 @@ from usinv.rootsys import (MatrixLieData, Root, RootSystemError,
                            bilinear_form,
                            find_generating_subsets, flag_permutation,
                            lie_algebra, parse_root, positive_roots,
-                           root_subgroup_matrix, root_system_to_json)
+                           root_index, root_subgroup_matrix,
+                           root_system_to_json)
+from helpers import is_strictly_triangular
 
 
 def test_positive_root_counts():
@@ -161,6 +163,37 @@ def test_lie_algebra_built_once_with_column_supports():
         assert lie_algebra(family, rank) is algebra
         assert algebra.supports == tuple(column_support(B)
                                          for B in algebra.basis)
+
+
+def test_root_index_reads_the_algebra_basis():
+    """The one lookup from a root to its basis index: every +-root of A_1-A_5
+    and of B/C/D rank 2-3 indexes the basis element equal to its generator,
+    the indices and the torus partition the basis, and in flag order each
+    positive root vector is strictly upper triangular, each negative one
+    strictly lower and the torus diagonal.  `compare_uS` rests on these."""
+    cases = [("A", r) for r in range(1, 6)]
+    cases += [(f, r) for f in ("B", "C", "D") for r in (2, 3)]
+    for family, rank in cases:
+        algebra = lie_algebra(family, rank)
+        sigma = flag_permutation(family, rank)
+        n = algebra.n
+        seen = set(range(len(algebra.torus_basis)))
+        for k, T in enumerate(algebra.torus_basis):
+            assert algebra.basis[k] is T
+            assert not any(T[i][j] for i in range(n) for j in range(n)
+                           if i != j)
+        for root in positive_roots(family, rank).positive_roots:
+            for r, upper in ((root, True), (-root, False)):
+                k = root_index(family, rank, r)
+                assert k not in seen
+                seen.add(k)
+                B = algebra.basis[k]
+                assert mat_eq(B, root_subgroup_matrix(family, rank, r))
+                assert is_strictly_triangular(
+                    B if upper else mat_transpose(B), sigma)
+        assert seen == set(range(algebra.dim))
+    with pytest.raises(RootSystemError, match="not a root of D2"):
+        root_index("D", 2, parse_root("L1", 4))
 
 
 def test_matrix_lie_data_refuses_mis_sized_elements():

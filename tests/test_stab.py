@@ -2,16 +2,20 @@
 
 import pytest
 
+import itertools
+
 from usinv.exact import MultiVector, eij, mat_eq, spans_equal, zeros
-from usinv.invars import InvariantError, subset_derivation_matrices
-from usinv.limits import Cocharacter, cochar_limit
+from usinv.invars import InvariantError, subset_basis_indices
+from usinv.limits import Cocharacter, cochar_limit, cocharacter_grid
 from usinv.points import build_point
-from usinv.rootsys import lie_algebra, parse_root
+from usinv.rootsys import (flag_permutation, lie_algebra, parse_root,
+                           positive_roots, root_subgroup_matrix)
 from usinv.stab import (StabilizerError, annihilates, compare_uS,
-                        is_strictly_triangular, lie_stabilizer)
+                        lie_stabilizer)
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
-                           enumerate_closed)
-from helpers import tensor_stabilizer_dimension
+                           enumerate_closed, roots_are_closed)
+from helpers import (is_strictly_triangular, pair_generators,
+                     reference_compare_uS, tensor_stabilizer_dimension)
 
 
 def _flatten(M):
@@ -180,10 +184,50 @@ def test_basis_annihilates_reverified():
     assert len(cases) == 43 and checked > 0
 
 
-def test_subset_derivation_matrices_bcd_requires_roots():
+def test_subset_basis_indices_bcd_requires_roots():
     S = ClosedSubset(4, frozenset({(1, 2)}))
     with pytest.raises(InvariantError):
-        subset_derivation_matrices(S, "D", 2)
+        subset_basis_indices(S, "D", 2)
+
+
+def test_compare_uS_matches_matrix_entry_oracle():
+    """The coordinate comparison against `reference_compare_uS` on flattened
+    matrix entries: every closed SL_2-SL_4 set and every closed B/C/D rank-2
+    root set (empty included), plain and weighted, and for all but SL_4 also
+    every nonzero limit of those points along the radius-1 cocharacter grid,
+    whose stabilizers can be larger than u_S in either part."""
+    cases = [(S, "A", n - 1, pair_generators(S))
+             for n in (2, 3, 4) for S in enumerate_closed(n)]
+    for family in ("B", "C", "D"):
+        pos = positive_roots(family, 2).positive_roots
+        for size in range(len(pos) + 1):
+            for combo in itertools.combinations(pos, size):
+                if roots_are_closed(family, 2, combo, pos):
+                    S = closed_subset_from_roots(family, 2, combo)
+                    us = [root_subgroup_matrix(family, 2, r) for r in combo]
+                    cases.append((S, family, 2, us))
+    outcomes = set()
+    for S, family, rank, us in cases:
+        sigma = flag_permutation(family, rank)
+        algebra = lie_algebra(family, rank)
+        sl4 = family == "A" and rank == 3
+        grid = [] if sl4 else cocharacter_grid(family, rank, 1)
+        for alpha in (None, "minimal"):
+            p = build_point(S, family, rank, alpha=alpha)
+            points = [p]
+            for lam in grid:
+                outcome = cochar_limit(p, lam)
+                if outcome.kind == "converges" and not outcome.value.is_zero():
+                    points.append(outcome.value)
+            for q in points:
+                rep = lie_stabilizer(q, algebra)
+                got = compare_uS(rep, S, family, rank)
+                assert got == reference_compare_uS(rep.basis, us, sigma), (
+                    family, S.to_json(), alpha)
+                assert rep.us_dimension == len(us)
+                outcomes.add(got)
+    assert len(cases) == 77
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_annihilates_refuses_mis_sized_matrix():
