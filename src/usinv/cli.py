@@ -28,7 +28,7 @@ from .rootsys import (ambient_dim, lie_algebra, parse_root, positive_roots,
                       root_system_to_json)
 from .stab import compare_uS, lie_stabilizer
 from .subsets import (ClosedSubset, closed_subset_from_roots, column_sets,
-                      enumerate_closed, is_closed, roots_are_closed,
+                      enumerate_closed, is_closed, root_closure,
                       transitive_closure)
 
 SCHEMA = "usinv-report/1"
@@ -93,6 +93,8 @@ def _resolve_subset(args) -> tuple:
 
     family = getattr(args, "family", None) or "A"
     if family == "A":
+        if roots_text is not None:
+            raise UsageError("family A takes --pairs, not --roots")
         n = getattr(args, "n", None)
         if n is None:
             raise UsageError("family A needs --n")
@@ -105,6 +107,8 @@ def _resolve_subset(args) -> tuple:
     n = ambient_dim(family, rank)
     if not roots_text:
         raise UsageError(f"family {family} needs --roots")
+    if pairs_text:
+        raise UsageError(f"family {family} takes --roots, not --pairs")
     roots = [parse_root(r, n) for r in roots_text.split(",")]
     return closed_subset_from_roots(family, rank, roots), family, rank
 
@@ -198,15 +202,18 @@ def _cmd_closed(args) -> tuple:
         else:
             # the induced pairs are saturated already; test the roots
             positive = positive_roots(family, rank).positive_roots
-            closed = roots_are_closed(family, rank, subset.source_roots,
-                                      positive)
+            roots = root_closure(subset.source_roots, positive)
+            closed = roots == subset.source_roots
         results = {"closed": closed,
                    "subset": subset.to_json()}
         if closed:
             results["column_sets"] = column_sets(subset, family, rank).to_json()
+        elif subset.source_roots is None:
+            results["closure"] = transitive_closure(subset.n,
+                                                    subset.pairs).to_json()
         else:
-            closure = transitive_closure(subset.n, subset.pairs)
-            results["closure"] = closure.to_json()
+            results["closure"] = closed_subset_from_roots(family, rank,
+                                                          roots).to_json()
         return (EXIT_PASS if closed else EXIT_FAIL), results
     subs = enumerate_closed(args.n)
     results = {"n": args.n, "count": len(subs),

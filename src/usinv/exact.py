@@ -6,13 +6,16 @@ Coefficients are exact: an `int` wherever a value is integral, else a
 `int` because integer arithmetic is several times cheaper than `Fraction`
 arithmetic (`int_if_integral` narrows a `Fraction` on the way in), and every
 division goes through `Fraction`, so no floating point arises anywhere.
-Wedge tuples are strictly increasing and 1-based; signs come from counting
-inversions of the sorting permutation.
+Wedge tuples are strictly increasing and 1-based.  A Leibniz term replaces
+one factor of a sorted tuple, so its sign comes from the position where the
+new index is inserted; inversion counting remains only in `sort_wedge` and
+`apply_group`.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -430,12 +433,16 @@ def wedge_apply(A: Matrix, v: MultiVector, mode: str = "group") -> MultiVector:
     """
     if len(A) != v.n or any(len(row) != v.n for row in A):
         raise ValueError(f"matrix must be {v.n} x {v.n} for this multivector")
-    apply = {"group": apply_group, "derivation": leibniz}.get(mode)
-    if apply is None:
-        raise ValueError(f"unknown mode {mode!r}")
     support = column_support(A)
-    return MultiVector(v.n, [Summand(s.k, s.label, apply(support, s.comps))
-                             for s in v.summands])
+    if mode == "group":
+        images = [apply_group(support, s.comps) for s in v.summands]
+    elif mode == "derivation":
+        index = column_index([support], v.n)
+        images = [leibniz(index, s.comps).get(0, {}) for s in v.summands]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return MultiVector(v.n, [Summand(s.k, s.label, image)
+                             for s, image in zip(v.summands, images)])
 
 
 def _add_term(comps: dict, t: tuple, c) -> None:
@@ -467,18 +474,51 @@ def apply_group(support: list, comps: Mapping) -> dict:
     return out
 
 
-def leibniz(support: list, comps: Mapping) -> dict:
-    """Derivation image of sparse wedge components under the matrix with the
-    given column support: factor i of each tuple is replaced by every row r
-    of column i, and the tuple re-sorted with its sign."""
+def column_index(supports: Sequence[list], n: int) -> list:
+    """Nonzero entries of several n x n matrices by column, from their column
+    supports: entry j - 1 lists (r, i, a) for the entry a at row i of column
+    j of matrix r, r ascending."""
+    return [[(r, i, a) for r, support in enumerate(supports)
+             for i, a in support[j]] for j in range(n)]
+
+
+def leibniz(index: list, comps: Mapping) -> dict:
+    """Derivation images of sparse wedge components under every matrix of a
+    column index, as {r: {tuple: coeff}} for each matrix r that reaches a
+    term; an image that cancels out is an empty dict.
+
+    Factor j of each tuple t is replaced by every row i of column j.  The
+    diagonal term keeps t, a row already in t gives a repeated factor and
+    drops out, and any other row is inserted into the rest of t at its
+    sorted position q, with sign (-1)^(pos - q) for the factor's position
+    pos in t.
+    """
     out: dict = {}
     for t, c in comps.items():
-        for pos, i in enumerate(t):
-            for r, a in support[i - 1]:
-                st, sign = sort_wedge(t[:pos] + (r,) + t[pos + 1:])
-                if sign:
-                    term = c * a
-                    _add_term(out, st, term if sign > 0 else -term)
+        if not c:
+            continue
+        for pos, j in enumerate(t):
+            rest = t[:pos] + t[pos + 1:]
+            for r, i, a in index[j - 1]:
+                if i == j:
+                    u, term = t, c * a
+                elif i in rest:
+                    continue
+                else:
+                    q = bisect_left(rest, i)
+                    u = rest[:q] + (i,) + rest[q:]
+                    term = c * a if (pos - q) % 2 == 0 else -(c * a)
+                image = out.get(r)
+                if image is None:
+                    out[r] = {u: term}
+                elif u in image:
+                    s = image[u] + term
+                    if s:
+                        image[u] = s
+                    else:
+                        del image[u]
+                else:
+                    image[u] = term
     return out
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .exact import (Matrix, MultiVector, RowEchelon, SelfCheckError,
-                    SparseMatrix, column_support, frac_str, int_if_integral,
-                    leibniz, nullspace, wedge_apply)
+                    SparseMatrix, column_index, column_support, frac_str,
+                    int_if_integral, leibniz, nullspace, wedge_apply)
 from .invars import subset_basis_indices
 from .points import WeightedPoint, flag_prefix_sums
 from .rootsys import MatrixLieData, positive_roots, root_index
@@ -57,50 +57,54 @@ def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
     one column per basis element given by its column support.  Integral
     coefficients stay int throughout."""
     rows: dict = {}
-
-    def put(key, col, val):
-        if val:
-            row = rows.setdefault(key, {})
-            row[col] = row[col] + val if col in row else val
-
+    index = column_index(supports, p.n)
     live = [(s, _integral(s.comps)) for s in p.summands if not s.is_zero()]
-    flags = [p.flag_tuple(k) for k in range(1, p.levels + 1)]
-    for r, support in enumerate(supports):
-        diag = {j: a for j, col in enumerate(support, start=1)
-                for i, a in col if i == j}
-        prefixes = flag_prefix_sums(diag, p.sigma, p.levels)
-        for k, ft in enumerate(flags, start=1):
-            image = leibniz(support, {ft: 1})
-            if p.flag_coeffs[k - 1]:
-                # surviving flag component: A f_k = 0
-                kind = "flag"
-            elif live:
-                # flag wedge must be an eigenvector of A
-                kind = "eig"
-                image[ft] = image.get(ft, 0) - prefixes[k - 1]
-            else:
-                continue
+    for k in range(1, p.levels + 1):
+        if p.flag_coeffs[k - 1]:
+            # surviving flag component: A f_k = 0
+            kind = "flag"
+        elif live:
+            # flag wedge must be an eigenvector of A: its diagonal terms
+            # give the eigenvalue, so only the others must vanish
+            kind = "eig"
+        else:
+            continue
+        ft = p.flag_tuple(k)
+        for r, image in leibniz(index, {ft: 1}).items():
             for t, c in image.items():
-                put((kind, k, t), r, c)
-        if live:
-            T = sum(prefixes)
-            for s, comps in live:
-                image = leibniz(support, comps)
+                if kind == "flag" or t != ft:
+                    rows.setdefault((kind, k, t), {})[r] = c
+    if live:
+        # sum of the flag eigenvalues, for the basis elements with diagonal
+        # entries; any other element has eigenvalue 0 on every flag wedge
+        diagonals: dict = {}
+        for j, col in enumerate(index, start=1):
+            for r, i, a in col:
+                if i == j:
+                    diagonals.setdefault(r, {})[j] = a
+        traces = {r: sum(flag_prefix_sums(diag, p.sigma, p.levels))
+                  for r, diag in diagonals.items()}
+        for s, comps in live:
+            images = leibniz(index, comps)
+            for r, T in traces.items():
+                image = images.setdefault(r, {})
                 for t, c in comps.items():
                     image[t] = image.get(t, 0) + s.alpha * T * c
+            for r, image in images.items():
                 for t, c in image.items():
-                    put(("sum", s.label, t), r, c)
+                    if c:
+                        rows.setdefault(("sum", s.label, t), {})[r] = c
     return rows
 
 
 def _multivector_equations(p: MultiVector, supports: Sequence[list]):
     rows: dict = {}
-    live = [(idx, _integral(s.comps)) for idx, s in enumerate(p.summands)
-            if not s.is_zero()]
-    for r, support in enumerate(supports):
-        for idx, comps in live:
-            for t, c in leibniz(support, comps).items():
-                rows.setdefault(("mv", idx, t), {})[r] = c
+    index = column_index(supports, p.n)
+    for idx, s in enumerate(p.summands):
+        if not s.is_zero():
+            for r, image in leibniz(index, _integral(s.comps)).items():
+                for t, c in image.items():
+                    rows.setdefault(("mv", idx, t), {})[r] = c
     return rows
 
 

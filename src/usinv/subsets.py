@@ -104,19 +104,28 @@ def closed_subset_from_roots(family: str, rank: int,
     return ClosedSubset(n, closed.pairs, source_roots=tuple(roots))
 
 
+def root_closure(roots: Sequence[Root], positive: Sequence[Root]) -> tuple:
+    """Smallest superset of roots closed inside a root system: every sum of
+    two members that is a positive root is a member.  The given roots come
+    first, then the added ones in the order of positive."""
+    pos = set(positive)
+    closed = set(roots)
+    while True:
+        sums = {Root(s) for a, b in itertools.combinations(closed, 2)
+                for s in [tuple(x + y for x, y in zip(a.coeffs, b.coeffs))]
+                if any(s)} & pos
+        if sums <= closed:
+            break
+        closed |= sums
+    return tuple(roots) + tuple(r for r in positive
+                                if r in closed and r not in roots)
+
+
 def roots_are_closed(family: str, rank: int, roots: Sequence[Root],
                      positive: Sequence[Root]) -> bool:
     """Closure test inside a root system: no sum of members that is again a
     positive root may be missing."""
-    rs = set(roots)
-    pos = set(positive)
-    for a, b in itertools.combinations(rs, 2):
-        s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        if any(s):
-            candidate = Root(s)
-            if candidate in pos and candidate not in rs:
-                return False
-    return True
+    return set(root_closure(roots, positive)) == set(roots)
 
 
 @dataclass(frozen=True)
@@ -175,19 +184,26 @@ def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
 
 def enumerate_closed(n: int):
     """All transitively closed subsets of {(i,j): i<j}, sorted by cardinality
-    then lexicographically."""
+    then lexicographically.
+
+    A closed set on [m] is a closed set on [m - 1] plus the predecessors of
+    m, which must be down-closed in it: with j a predecessor of m and (i, j)
+    in the set, i is one too.  The sets are built up that way, each as its
+    predecessor bitmasks, entry j - 1 for j.
+    """
     if n < 1:
         raise SubsetError("enumeration needs n >= 1")
     if n > 6:
         raise SubsetError("enumeration is guarded to n <= 6")
-    all_pairs = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    found = []
-    for size in range(len(all_pairs) + 1):
-        for combo in itertools.combinations(all_pairs, size):
-            if is_closed(n, combo):
-                found.append(ClosedSubset(n, frozenset(combo)))
-    found.sort(key=lambda s: (len(s.pairs), s.sorted_pairs()))
-    return found
+    sets = [()]
+    for m in range(n):
+        sets = [preds + (down,) for preds in sets for down in range(1 << m)
+                if all(preds[j] & ~down == 0
+                       for j in range(m) if down >> j & 1)]
+    found = sorted(([(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
+                     if preds[j] >> i & 1] for preds in sets),
+                   key=lambda ps: (len(ps), ps))
+    return [ClosedSubset(n, frozenset(ps)) for ps in found]
 
 
 def elementwise_less(a: Iterable[int], b: Iterable[int]) -> bool:

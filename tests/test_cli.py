@@ -12,6 +12,8 @@ from usinv.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE,
                        UsageError, build_parser, main, parse_pairs, run)
 from usinv.exact import Q1
 from usinv.corpus import corpus_get, corpus_list, corpus_names
+from usinv.rootsys import parse_root
+from usinv.subsets import closed_subset_from_roots
 from test_golden import GOLDEN
 
 
@@ -66,6 +68,42 @@ def test_closed_check_bcd_root_sets(capsys):
         code, out = _run_capture(capsys, command.split())
         assert code == EXIT_PASS
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_closed_check_reports_root_closure(capsys):
+    """A non-closed B/C/D root set reports the smallest closed root set that
+    contains it, by root name; the closure used to repeat the subset's own
+    induced pairs, so for D_3 it never named L1-L3."""
+    for command, roots in (
+            ("closed check --family D --l 3 --roots L1-L2,L2-L3",
+             ["L1-L2", "L2-L3", "L1-L3"]),
+            ("closed check --family C --l 3 --roots L1-L2,2L2",
+             ["L1-L2", "2L2", "L1+L2", "2L1"])):
+        code, out = _run_capture(capsys, command.split())
+        assert code == EXIT_FAIL, command
+        results = json.loads(out)["results"]
+        assert results["closure"]["roots"] == roots
+        family, rank = command.split()[3], int(command.split()[5])
+        closure = closed_subset_from_roots(
+            family, rank, [parse_root(r, results["closure"]["n"])
+                           for r in roots])
+        assert results["closure"] == closure.to_json()
+
+
+def test_roots_refused_for_family_a(capsys):
+    """--roots used to be ignored for family A: this command reported the
+    empty set with exit 0."""
+    for command in ("stab --n 3 --roots L1-L2 --weighted minimal",
+                    "closed check --n 3 --pairs 1:2 --roots L1-L2"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert "family A takes --pairs" in capsys.readouterr().err
+
+
+def test_pairs_with_roots_refused_for_bcd(capsys):
+    """A non-corpus --pairs used to be dropped silently next to --roots."""
+    command = "stab --family B --l 2 --pairs 1:2 --roots L1-L2"
+    assert _exit_code(command.split()) == EXIT_USAGE
+    assert "family B takes --roots" in capsys.readouterr().err
 
 
 def test_repeated_roots_refused(capsys):

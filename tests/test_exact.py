@@ -3,14 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from usinv.exact import (GradedPoly, MultiVector, Q0, Q1, RowEchelon,
-                         SparseMatrix, Summand, column_support, det, eij,
-                         exp_nilpotent, identity, int_if_integral, mat_add,
-                         mat_mul, mat_scale, nullspace, pvar, sort_wedge,
-                         spans_equal, wedge_apply)
+                         SparseMatrix, Summand, column_index, column_support,
+                         det, eij, exp_nilpotent, identity, int_if_integral,
+                         leibniz, mat_add, mat_mul, mat_scale, nullspace, pvar,
+                         sort_wedge, spans_equal, wedge_apply)
 from usinv.points import build_point
 from usinv.rootsys import MatrixLieData, lie_algebra, parse_root
 from usinv.stab import lie_stabilizer
@@ -131,6 +132,66 @@ def test_wedge_derivation_matches_oracle_sweep():
                 assert got == {t: c for t, c in want.items() if c}
                 checked += 1
     assert checked == 8 * (2 + 3 + 4 + 5)
+
+
+def _nonzero(image: dict) -> dict:
+    return {t: c for t, c in image.items() if c}
+
+
+def _oracle_images(matrices, comps, n) -> list:
+    """Per matrix, the sum of c times the slot-by-slot oracle image of t."""
+    out = []
+    for A in matrices:
+        want: dict = {}
+        for t, c in comps.items():
+            for key, val in _wedge_derivation(A, t, n).items():
+                want[key] = want.get(key, Q0) + c * val
+        out.append(_nonzero(want))
+    return out
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("D", 3)])
+def test_leibniz_all_basis_matches_oracle(family, rank):
+    """One pass per tuple gives every basis element's image: each agrees with
+    the slot-by-slot oracle of tests/helpers on every wedge tuple of degree
+    at most 3."""
+    algebra = lie_algebra(family, rank)
+    n = algebra.n
+    index = column_index(algebra.supports, n)
+    checked = 0
+    for k in range(1, 4):
+        for t in itertools.combinations(range(1, n + 1), k):
+            images = leibniz(index, {t: 1})
+            assert set(images) <= set(range(len(algebra.basis)))
+            want = _oracle_images(algebra.basis, {t: Q1}, n)
+            for r, w in enumerate(want):
+                assert _nonzero(images.get(r, {})) == w, (t, r)
+                checked += 1
+    assert checked == len(algebra.basis) * sum(comb(n, k) for k in (1, 2, 3))
+
+
+def test_leibniz_random_supports_match_oracle():
+    """Random rational matrices with diagonal entries, rows that repeat a
+    factor of the tuple, a repeated matrix and multi-term wedges whose
+    images can cancel: each matrix's image agrees with the oracle."""
+    rng = random.Random(31)
+    for n in range(2, 6):
+        for trial in range(6):
+            matrices = [_sparse_random_matrix(n, rng) for _ in range(3)]
+            matrices.append(random_rational_matrix(n, rng))
+            matrices.append(matrices[0])
+            index = column_index([column_support(A) for A in matrices], n)
+            for k in range(1, n + 1):
+                tuples = list(itertools.combinations(range(1, n + 1), k))
+                comps = {t: Fraction(rng.choice([-2, -1, 1, 3]),
+                                     rng.randint(1, 3))
+                         for t in rng.sample(tuples, min(3, len(tuples)))}
+                images = leibniz(index, comps)
+                want = _oracle_images(matrices, comps, n)
+                for r, w in enumerate(want):
+                    assert _nonzero(images.get(r, {})) == w, (n, trial, k, r)
+                assert images.get(4, {}) == images.get(0, {})
 
 
 def test_group_mode_multiplicative():

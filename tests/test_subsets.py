@@ -137,6 +137,21 @@ def test_enumerate_closed_matches_oracle_membership():
             assert (chosen in enumerated) == oracle_is_closed(n, chosen)
 
 
+def test_enumerate_closed_equals_brute_force_filter():
+    """Down-set extension returns exactly the brute-force filter over every
+    pair subset, in the same (size, lex) order; the counts are OEIS A006455."""
+    counts = []
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        chosen = ([pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+                  for mask in range(1 << len(pairs)))
+        brute = sorted((ps for ps in chosen if oracle_is_closed(n, ps)),
+                       key=lambda ps: (len(ps), ps))
+        assert [s.sorted_pairs() for s in enumerate_closed(n)] == brute
+        counts.append(len(brute))
+    assert counts == [1, 2, 7, 40, 357, 4824]
+
+
 def test_enumeration_order_deterministic():
     subs = enumerate_closed(3)
     sizes = [len(s.pairs) for s in subs]
