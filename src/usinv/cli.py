@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .corpus import corpus_get, corpus_list, corpus_names
 from .exact import SelfCheckError
-from .invars import generation_check, invariant_space
+from .invars import check_monomial_cap, generation_check, invariant_space
 from .limits import Cocharacter, cochar_limit, grosshans_screen
 from .points import build_point, build_us
 from .rootsys import (ambient_dim, lie_algebra, parse_root, positive_roots,
@@ -69,47 +69,62 @@ def parse_weights(text: str) -> tuple:
         raise UsageError(f"cannot parse weight vector {text!r}")
 
 
-def _resolve_subset(args) -> tuple:
-    """(subset, family, rank) from --family/--n/--l/--pairs/--roots,
-    honoring corpus:<name> references."""
-    pairs_text = getattr(args, "pairs", None)
-    roots_text = getattr(args, "roots", None)
-    if pairs_text and pairs_text.startswith("corpus:"):
-        name = pairs_text.split(":", 1)[1]
-        entry = corpus_get(name)
-        if entry is None:
-            raise UsageError(f"unknown corpus entry {name!r}; "
-                             f"available: {', '.join(corpus_names())}")
-        family = entry["family"]
-        if "pairs" in entry:
-            rank = entry["n"] - 1
-            subset = ClosedSubset(entry["n"],
-                                  frozenset(tuple(p) for p in entry["pairs"]))
-            return subset, family, rank
-        rank = entry["rank"]
-        n = ambient_dim(family, rank)
-        roots = [parse_root(r, n) for r in entry["roots"]]
-        return closed_subset_from_roots(family, rank, roots), family, rank
-
-    family = getattr(args, "family", None) or "A"
+def _corpus_flags(flags: dict) -> dict:
+    """The subset flags a corpus:<name> entry in --pairs stands for.  A
+    --family, --n, --l or --roots given next to it must agree with them."""
+    name = flags["pairs"].split(":", 1)[1]
+    entry = corpus_get(name)
+    if entry is None:
+        raise UsageError(f"unknown corpus entry {name!r}; "
+                         f"available: {', '.join(corpus_names())}")
+    family = entry["family"]
     if family == "A":
-        if roots_text is not None:
+        implied = {"n": entry["n"], "l": entry["n"] - 1, "roots": None,
+                   "pairs": ",".join(f"{i}:{j}" for i, j in entry["pairs"])}
+    else:
+        implied = {"n": ambient_dim(family, entry["rank"]),
+                   "l": entry["rank"], "roots": ",".join(entry["roots"]),
+                   "pairs": None}
+    implied["family"] = family
+    for key in ("family", "n", "l", "roots"):
+        if flags[key] is not None and flags[key] != implied[key]:
+            raise UsageError(f"--{key} {flags[key]} conflicts with "
+                             f"corpus:{name}")
+    return implied
+
+
+def _resolve_subset(args) -> tuple:
+    """(subset, family, rank) from --family/--n/--l/--pairs/--roots, after a
+    corpus:<name> entry has filled in the flags it stands for."""
+    flags = {key: getattr(args, key, None)
+             for key in ("family", "n", "l", "pairs", "roots")}
+    if flags["pairs"] and flags["pairs"].startswith("corpus:"):
+        flags = _corpus_flags(flags)
+    if flags["n"] is not None and flags["n"] < 1:
+        raise UsageError("--n must be at least 1")
+    family = flags["family"] or "A"
+    if family == "A":
+        if flags["roots"] is not None:
             raise UsageError("family A takes --pairs, not --roots")
-        n = getattr(args, "n", None)
+        n = flags["n"]
         if n is None:
             raise UsageError("family A needs --n")
-        rank = n - 1
-        pairs = parse_pairs(pairs_text or "")
-        return ClosedSubset(n, frozenset(pairs)), family, rank
-    rank = getattr(args, "l", None)
+        if flags["l"] not in (None, n - 1):
+            raise UsageError(f"--l {flags['l']} conflicts with --n {n}")
+        pairs = parse_pairs(flags["pairs"] or "")
+        return ClosedSubset(n, frozenset(pairs)), family, n - 1
+    rank = flags["l"]
     if rank is None:
         raise UsageError(f"family {family} needs --l")
-    n = ambient_dim(family, rank)
-    if not roots_text:
+    if not flags["roots"]:
         raise UsageError(f"family {family} needs --roots")
-    if pairs_text:
+    if flags["pairs"]:
         raise UsageError(f"family {family} takes --roots, not --pairs")
-    roots = [parse_root(r, n) for r in roots_text.split(",")]
+    n = ambient_dim(family, rank)
+    if flags["n"] not in (None, n):
+        raise UsageError(f"--n {flags['n']} conflicts with --family {family} "
+                         f"--l {rank}")
+    roots = [parse_root(r, n) for r in flags["roots"].split(",")]
     return closed_subset_from_roots(family, rank, roots), family, rank
 
 
@@ -134,7 +149,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--family", choices=["A", "B", "C", "D"], default="A")
+        sp.add_argument("--family", choices=["A", "B", "C", "D"])
         sp.add_argument("--n", type=int, help="ambient dimension (family A)")
         sp.add_argument("--l", type=int, help="rank (families B, C, D)")
         sp.add_argument("--pairs", help="i:j,... or corpus:<name>")
@@ -237,7 +252,7 @@ def _cmd_point(args) -> tuple:
         "weighted": alpha is not None,
     }
     if alpha == "minimal":
-        results["alpha"] = {s.label: s.alpha for s in point.summands}
+        results["alpha"] = point.alphas()
     return EXIT_PASS, results
 
 
@@ -261,6 +276,7 @@ def _cmd_invariants(args) -> tuple:
     if args.degree < 1:
         raise UsageError("--degree must be positive")
     subset, family, rank = _resolve_subset(args)
+    check_monomial_cap(subset.n, args.degree)
     spaces = [invariant_space(subset, family, rank, d)
               for d in range(1, args.degree + 1)]
     results = {

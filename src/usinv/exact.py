@@ -86,9 +86,6 @@ class GradedPoly:
             return x
         return GradedPoly.const(x)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -106,9 +103,6 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "GradedPoly":
         other = GradedPoly.coerce(other)
@@ -163,32 +157,6 @@ class GradedPoly:
                 res = res * base
             base = base * base
             e >>= 1
-        return res
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in m) for m in self.terms)
-
-    def partial(self, v: tuple) -> "GradedPoly":
-        """Partial derivative with respect to variable v."""
-        out: dict[tuple, Fraction] = {}
-        for m, c in self.terms.items():
-            for idx, (w, e) in enumerate(m):
-                if w == v:
-                    if e == 1:
-                        m2 = m[:idx] + m[idx + 1:]
-                    else:
-                        m2 = m[:idx] + ((w, e - 1),) + m[idx + 1:]
-                    s = out.get(m2, Q0) + c * e
-                    if s:
-                        out[m2] = s
-                    else:
-                        out.pop(m2, None)
-                    break
-        res = GradedPoly()
-        res.terms = out
         return res
 
     def substitute(self, assignment: Mapping[tuple, "GradedPoly | Fraction | int"]) -> "GradedPoly":
@@ -292,23 +260,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
              for c in range(m)] for row in A]
 
 
-def mat_transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)]
-
-
-def mat_eq(A: Matrix, B: Matrix) -> bool:
-    if len(A) != len(B) or len(A[0]) != len(B[0]):
-        return False
-    for ra, rb in zip(A, B):
-        for a, b in zip(ra, rb):
-            if isinstance(a, GradedPoly) or isinstance(b, GradedPoly):
-                if GradedPoly.coerce(a) != GradedPoly.coerce(b):
-                    return False
-            elif a != b:
-                return False
-    return True
-
-
 def mat_is_zero(A: Matrix) -> bool:
     return not any(c for row in A for c in row)
 
@@ -358,10 +309,6 @@ class Summand:
     def is_zero(self) -> bool:
         return not any(self.comps.values())
 
-    def normalized(self) -> "Summand":
-        return Summand(self.k, self.label,
-                       {t: c for t, c in self.comps.items() if c})
-
 
 @dataclass
 class MultiVector:
@@ -369,28 +316,8 @@ class MultiVector:
     n: int
     summands: list  # list[Summand]
 
-    def normalized(self) -> "MultiVector":
-        return MultiVector(self.n, [s.normalized() for s in self.summands])
-
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.summands)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiVector):
-            return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        if a.n != b.n or len(a.summands) != len(b.summands):
-            return False
-        for sa, sb in zip(a.summands, b.summands):
-            if (sa.k, sa.label) != (sb.k, sb.label):
-                return False
-            if set(sa.comps) != set(sb.comps):
-                return False
-            for t in sa.comps:
-                ca, cb = GradedPoly.coerce(sa.comps[t]), GradedPoly.coerce(sb.comps[t])
-                if ca != cb:
-                    return False
-        return True
 
     @staticmethod
     def pure(n: int, parts: Sequence[tuple[Sequence[int], str]]) -> "MultiVector":
@@ -520,12 +447,6 @@ def leibniz(index: list, comps: Mapping) -> dict:
                 else:
                     image[u] = term
     return out
-
-
-def det(A: Matrix) -> Coeff:
-    """Determinant via the top wedge power."""
-    top = tuple(range(1, len(A) + 1))
-    return apply_group(column_support(A), {top: Q1}).get(top, Q0)
 
 
 # ---------------------------------------------------------------------------

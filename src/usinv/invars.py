@@ -9,13 +9,15 @@ derivations only, which suffices by the commutator identity.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, Q0, Q1, RowEchelon, SelfCheckError,
-                    SparseMatrix, column_support, mono_mul, nullspace, xvar)
+                    SparseMatrix, column_support, mono_mul, nullspace,
+                    sort_wedge, xvar)
 from .rootsys import Root, lie_algebra, root_index
 from .subsets import ClosedSubset, ColumnFamily, column_sets
 
@@ -27,9 +29,15 @@ class InvariantError(ValueError):
 DEFAULT_CAP = 5000
 
 
-def monomial_cap() -> int:
-    cap = os.environ.get("USINV_CAP")
-    return int(cap) if cap else DEFAULT_CAP
+def check_monomial_cap(n: int, d: int) -> None:
+    """Refuse degree d in the n x n matrix coordinates when its monomials
+    outnumber the cap, DEFAULT_CAP unless USINV_CAP overrides it; they are
+    counted, not built, so nothing is solved before a refusal."""
+    count = math.comb(n * n + d - 1, d)
+    cap = int(os.environ.get("USINV_CAP") or DEFAULT_CAP)
+    if count > cap:
+        raise InvariantError(f"{count} monomials of degree {d} exceed "
+                             f"the cap {cap}; raise it with USINV_CAP")
 
 
 def apply_derivation_poly(A: Matrix, f: GradedPoly) -> GradedPoly:
@@ -96,7 +104,7 @@ def minor_poly(columns: Sequence[int], rows: Sequence[int]) -> GradedPoly:
         raise InvariantError("minor needs equally sized nonempty index sets")
     out = GradedPoly()
     for perm in itertools.permutations(range(len(cols))):
-        sign = _perm_sign(perm)
+        _, sign = sort_wedge(perm)
         mono = {}
         for r, pc in enumerate(perm):
             v = xvar(rws[r], cols[pc])
@@ -104,11 +112,6 @@ def minor_poly(columns: Sequence[int], rows: Sequence[int]) -> GradedPoly:
         key = tuple(sorted(mono.items()))
         out = out + GradedPoly({key: Fraction(sign)})
     return out
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    inv = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-    return -1 if inv % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -193,12 +196,8 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
     """Basis of degree-d polynomials killed by every generator derivation."""
     if d < 1:
         raise InvariantError("degree must be positive")
-    n = subset.n
-    monos = degree_monomials(n, d)
-    cap = monomial_cap()
-    if len(monos) > cap:
-        raise InvariantError(f"{len(monos)} monomials of degree {d} exceed "
-                             f"the cap {cap}; raise it with USINV_CAP")
+    check_monomial_cap(subset.n, d)
+    monos = degree_monomials(subset.n, d)
     indices = subset_basis_indices(subset, family, rank)
     supports = []
     if indices:  # an empty S builds no algebra: SL_1 has none
@@ -281,6 +280,7 @@ def generation_check(subset: ClosedSubset, family: str, rank: int,
     if slack < 0:
         raise InvariantError("slack must be nonnegative")
     n = subset.n
+    check_monomial_cap(n, d)
     cols = column_sets(subset, family, rank)
     sigma = tuple(range(1, n + 1))
     minors = principal_minors(cols, sigma)

@@ -61,13 +61,6 @@ class Cocharacter:
         else:
             raise LimitError(f"unsupported family {self.family!r}")
 
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.weights)
-
 
 @dataclass
 class LimitOutcome:

@@ -59,10 +59,6 @@ class UnipotentPattern:
     free_positions: tuple          # leading (i, j) per parameter
     column_family: ColumnFamily
 
-    def substitute(self, values: dict) -> Matrix:
-        assignment = {pvar(k): v for k, v in values.items()}
-        return mat_substitute(self.matrix, assignment)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -219,19 +215,27 @@ def flag_prefix_sums(diagonal: Mapping, sigma: tuple, levels: int) -> list:
                                      for j in sigma[:levels]))
 
 
+def _sigma_order(n: int, sigma: Optional[tuple],
+                 index_set: Optional[Sequence[int]]) -> tuple:
+    """(pos, order): the 1-based position of each index of the index set in
+    sigma, and the index set sorted by it; sigma and the index set default
+    to 1..n."""
+    sigma = sigma or tuple(range(1, n + 1))
+    index_set = tuple(range(1, n + 1) if index_set is None else index_set)
+    pos = {j: sigma.index(j) + 1 for j in index_set}
+    return pos, sorted(index_set, key=pos.__getitem__)
+
+
 def alpha_valid(alpha: Sequence[int], n: int, sigma: Optional[tuple] = None,
                 index_set: Optional[Sequence[int]] = None) -> bool:
     """Strict growth condition along the sigma-order of the index set:
     alpha_{j_k} > 2 * pos(j_k) * alpha_{j_{k-1}} + 2, positions taken in
     {1..n}.  All entries must be positive integers."""
-    sigma = sigma or tuple(range(1, n + 1))
-    index_set = tuple(index_set) if index_set is not None else tuple(range(1, n + 1))
-    if len(alpha) != len(index_set):
+    pos, order = _sigma_order(n, sigma, index_set)
+    if len(alpha) != len(order):
         return False
     if any((not isinstance(a, int)) or a < 1 for a in alpha):
         return False
-    pos = {j: sigma.index(j) + 1 for j in index_set}
-    order = sorted(index_set, key=lambda j: pos[j])
     by_index = dict(zip(order, alpha))
     prev = None
     for j in order:
@@ -245,10 +249,7 @@ def minimal_alpha(n: int, sigma: Optional[tuple] = None,
                   index_set: Optional[Sequence[int]] = None) -> tuple:
     """Least valid integer sequence starting at 1, in sigma-order of the
     index set."""
-    sigma = sigma or tuple(range(1, n + 1))
-    index_set = tuple(index_set) if index_set is not None else tuple(range(1, n + 1))
-    pos = {j: sigma.index(j) + 1 for j in index_set}
-    order = sorted(index_set, key=lambda j: pos[j])
+    pos, order = _sigma_order(n, sigma, index_set)
     vals = {}
     prev = None
     for j in order:
@@ -296,8 +297,7 @@ def build_point(subset: ClosedSubset, family: str, rank: int,
             raise PointError("alpha length must match the index set")
         if any((not isinstance(a, int)) or a < 1 for a in alpha_seq):
             raise PointError("alpha entries must be positive integers")
-    pos = {j: sigma.index(j) + 1 for j in index_set}
-    order = sorted(index_set, key=lambda j: pos[j])
+    _, order = _sigma_order(n, sigma, index_set)
     by_index = dict(zip(order, alpha_seq))
     summands = []
     for j in sorted(index_set):

@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exact import (Matrix, Q1, RowEchelon, column_support, eij, frac_str,
-                    zeros)
+from .exact import Matrix, Q1, RowEchelon, column_support, eij, zeros
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -315,10 +313,6 @@ class MatrixLieData:
                     raise RootSystemError(
                         f"basis element {k} is not compatible with the form")
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
 
 @functools.cache
 def lie_algebra(family: str, rank: int) -> MatrixLieData:
@@ -409,32 +403,3 @@ def root_system_to_json(system: RootSystem) -> dict:
         "roots": [list(r.coeffs[:width]) for r in system.positive_roots],
     }
 
-
-def _matrix_to_strings(M: Matrix) -> list:
-    return [[frac_str(e) for e in row] for row in M]
-
-
-def _matrix_from_strings(rows: Sequence[Sequence[str]]) -> Matrix:
-    return [[Fraction(e) for e in row] for row in rows]
-
-
-def matrix_lie_data_to_json(data: MatrixLieData) -> dict:
-    out = {
-        "n": data.n,
-        "basis": [_matrix_to_strings(B) for B in data.basis],
-        "torus_basis": [_matrix_to_strings(T) for T in data.torus_basis],
-        "sigma": list(data.sigma),
-    }
-    if data.form is not None:
-        out["form"] = _matrix_to_strings(data.form)
-    return out
-
-
-def matrix_lie_data_from_json(js: dict) -> MatrixLieData:
-    return MatrixLieData(
-        n=js["n"],
-        basis=tuple(_matrix_from_strings(B) for B in js["basis"]),
-        torus_basis=tuple(_matrix_from_strings(T) for T in js["torus_basis"]),
-        form=_matrix_from_strings(js["form"]) if "form" in js else None,
-        sigma=tuple(js.get("sigma") or range(1, js["n"] + 1)),
-    )

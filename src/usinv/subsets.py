@@ -121,13 +121,6 @@ def root_closure(roots: Sequence[Root], positive: Sequence[Root]) -> tuple:
                                 if r in closed and r not in roots)
 
 
-def roots_are_closed(family: str, rank: int, roots: Sequence[Root],
-                     positive: Sequence[Root]) -> bool:
-    """Closure test inside a root system: no sum of members that is again a
-    positive root may be missing."""
-    return set(root_closure(roots, positive)) == set(roots)
-
-
 @dataclass(frozen=True)
 class ColumnFamily:
     """Column sets S_1..S_n; j is always in S_j and the family is hereditary:

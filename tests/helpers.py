@@ -35,6 +35,10 @@ def minor(A, rows, cols):
     return cofactor_det([[A[r - 1][c - 1] for c in cols] for r in rows])
 
 
+def transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
 # ---------------------------------------------------------------------------
 # closed subsets by brute force
 # ---------------------------------------------------------------------------
@@ -50,6 +54,16 @@ def oracle_is_closed(n, pairs):
             if two_step and i != j and not M[i][j]:
                 return False
     return True
+
+
+def oracle_roots_closed(roots, positive):
+    """Whether no sum of two of the roots is a positive root outside them,
+    on coefficient vectors."""
+    chosen = {r.coeffs for r in roots}
+    pos = {r.coeffs for r in positive}
+    return all(s in chosen or s not in pos
+               for a, b in itertools.combinations(chosen, 2)
+               for s in [tuple(x + y for x, y in zip(a, b))])
 
 
 def oracle_closed_count(n):

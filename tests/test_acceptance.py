@@ -147,7 +147,7 @@ def test_criterion_4_minor_criterion_vs_derivation():
                 for columns in itertools.combinations(range(1, n + 1), size):
                     for rows in itertools.combinations(range(1, n + 1), size):
                         m = Minor(columns, rows)
-                        sym = all(apply_derivation_poly(A, m.poly()).is_zero()
+                        sym = all(apply_derivation_poly(A, m.poly()) == 0
                                   for A in mats)
                         total += 1
                         if sym != is_invariant_minor(m, cols):

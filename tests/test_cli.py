@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from usinv.corpus import corpus_get, corpus_list, corpus_names
 from usinv.rootsys import parse_root
 from usinv.subsets import closed_subset_from_roots
 from test_golden import GOLDEN
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run_capture(capsys, argv):
@@ -114,6 +117,85 @@ def test_repeated_roots_refused(capsys):
                     "closed check --family D --l 2 --roots L1-L2,L1-L2"):
         assert _exit_code(command.split()) == EXIT_USAGE
         assert "root set has repeats" in capsys.readouterr().err
+
+
+def test_size_flags_must_agree(capsys):
+    """--l used to be ignored for family A and --n for B/C/D: the first
+    command reported an SL_3 subset and the second a B_2 subset, both with
+    exit 0."""
+    for command in ("closed check --n 3 --l 7 --pairs 1:2",
+                    "stab --family B --l 2 --n 9 --roots L1 --weighted minimal"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert "conflicts with" in capsys.readouterr().err
+    for command in ("closed check --n 3 --l 2 --pairs 1:2",
+                    "stab --family B --l 2 --n 5 --roots L1 --weighted minimal"):
+        assert _exit_code(command.split()) == EXIT_PASS
+
+
+def test_corpus_conflicts_refused(capsys):
+    """A corpus:<name> entry used to be read before any other subset flag, so
+    a disagreeing flag was dropped: the first command reported the SL_3 full
+    Borel with exit 0, and so did the second."""
+    for command in ("stab --n 6 --pairs corpus:full-borel --weighted minimal",
+                    "stab --family D --l 3 --roots L1-L2 "
+                    "--pairs corpus:full-borel",
+                    "stab --l 3 --pairs corpus:full-borel",
+                    "stab --roots L1-L2 --pairs corpus:full-borel",
+                    "point --family C --pairs corpus:so4-borel",
+                    "point --n 5 --pairs corpus:so4-borel",
+                    "point --roots L1-L2 --pairs corpus:so4-borel"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert "conflicts with corpus:" in capsys.readouterr().err
+
+
+def test_corpus_agreeing_flags_accepted(capsys):
+    for base, extras in (
+            ("limit --pairs corpus:boundary-example --cochar 1,-1,-1,1",
+             ("--family A --n 4", "--l 3")),
+            ("stab --pairs corpus:so4-borel --weighted minimal",
+             ("--family D --l 2 --n 4", "--roots L1-L2,L1+L2"))):
+        _, plain = _run_capture(capsys, base.split())
+        for extra in extras:
+            code, out = _run_capture(capsys, base.split() + extra.split())
+            assert code == EXIT_PASS
+            assert json.loads(out)["results"] == json.loads(plain)["results"]
+
+
+def test_nonpositive_n_refused(capsys):
+    """These used to exit 0 with empty reports."""
+    for command in ("invariants --n 0 --degree 2",
+                    "invariants --n -3 --degree 2",
+                    "closed check --n 0"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert "--n must be at least 1" in capsys.readouterr().err
+
+
+def test_monomial_cap_refused_before_any_solve(monkeypatch, capsys):
+    """The first command used to solve degrees 1-3 before it refused degree
+    4; the cap now counts the top degree first."""
+    def solve(m):
+        raise AssertionError("nullspace called before the cap refusal")
+
+    monkeypatch.setattr(usinv.invars, "nullspace", solve)
+    for command in ("invariants --n 5 --degree 6",
+                    "check-generation --n 5 --degree 6"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert "exceed the cap 5000; raise it with USINV_CAP" in (
+            capsys.readouterr().err)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every usinv line of the README's CLI block is accepted: none exits 3
+    or 4, corpus entries next to flags that agree with them included."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    commands = [line.split()[1:]
+                for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("usinv ")]
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert _exit_code(argv) not in (EXIT_USAGE, EXIT_INTERNAL), argv
 
 
 def test_closed_enumerate(tmp_path, capsys):
@@ -397,8 +479,7 @@ def test_shared_lie_algebras_are_not_mutated(capsys):
     used = [("A", 3), ("B", 3), ("C", 2), ("D", 2)]
     for family, rank in used:
         shared = lie_algebra(family, rank)
-        assert (usinv.rootsys.matrix_lie_data_to_json(shared)
-                == usinv.rootsys.matrix_lie_data_to_json(fresh(family, rank)))
+        assert shared == fresh(family, rank)
         assert shared.supports == fresh(family, rank).supports
     assert lie_algebra.cache_info().currsize >= len(used)
 

@@ -1,14 +1,10 @@
-"""Generic matrix-presented groups: JSON schema, points, stabilizers."""
-
-import json
+"""Generic matrix-presented groups: column sets, points, stabilizers."""
 
 import pytest
 
 from usinv.exact import spans_equal
 from usinv.points import PointError, build_point, build_us, flag_levels
-from usinv.rootsys import (lie_algebra, matrix_lie_data_from_json,
-                           matrix_lie_data_to_json, parse_root,
-                           root_subgroup_matrix)
+from usinv.rootsys import lie_algebra, parse_root, root_subgroup_matrix
 from usinv.stab import lie_stabilizer
 from usinv.subsets import ClosedSubset, closed_subset_from_roots, column_sets
 
@@ -22,22 +18,6 @@ def so4_as_generic():
     """The orthogonal group in dimension 4 presented as generic matrix data,
     keeping its sigma-flag."""
     return lie_algebra("D", 2)
-
-
-def test_matrix_lie_data_json_roundtrip():
-    data = so4_as_generic()
-    js = matrix_lie_data_to_json(data)
-    text = json.dumps(js, sort_keys=True)
-    back = matrix_lie_data_from_json(json.loads(text))
-    assert back.n == data.n
-    assert back.sigma == data.sigma
-    assert len(back.basis) == len(data.basis)
-    for a, b in zip(back.basis, data.basis):
-        assert a == b
-    assert back.form == data.form
-    # rationals serialize as p/q strings
-    assert all(isinstance(e, str) and "/" in e
-               for row in js["basis"][0] for e in row)
 
 
 def test_matrix_family_column_sets_via_closure():

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from usinv.exact import (GradedPoly, Q1, det, mat_is_zero, mat_mul,
-                         mat_substitute, mat_transpose, pvar, wedge_apply)
+from usinv.exact import (GradedPoly, Q1, mat_is_zero, mat_mul,
+                         mat_substitute, pvar, wedge_apply)
 from usinv.points import (PointError, WeightedPoint, alpha_valid, build_point,
                           build_us, default_index_set, flag_levels,
                           minimal_alpha, so_parameter_property)
 from usinv.rootsys import (bilinear_form, lie_algebra, parse_root,
                            positive_roots)
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
-                           enumerate_closed, roots_are_closed)
+                           enumerate_closed)
+from helpers import cofactor_det, oracle_roots_closed, transpose
 
 
 def _poly_entries(rows):
@@ -69,7 +70,7 @@ def test_build_us_rejects_non_closed():
 def test_build_us_det_one_and_support():
     for S in enumerate_closed(4):
         u = build_us(S, "A", 3)
-        assert det(u.matrix) == GradedPoly.const(1)
+        assert cofactor_det(u.matrix) == GradedPoly.const(1)
         cols = u.column_family
         for i in range(1, 5):
             for j in range(1, 5):
@@ -79,7 +80,7 @@ def test_build_us_det_one_and_support():
 
 def _symbolic_q_preserved(u, family, rank):
     Q = bilinear_form(family, rank)
-    lhs = mat_mul(mat_transpose(u.matrix), mat_mul(Q, u.matrix))
+    lhs = mat_mul(transpose(u.matrix), mat_mul(Q, u.matrix))
     diff = [[lhs[i][j] - Q[i][j] for j in range(len(Q))] for i in range(len(Q))]
     return mat_is_zero(diff)
 
@@ -96,7 +97,7 @@ def test_build_us_preserves_form_symbolically():
         S = closed_subset_from_roots(family, rank, roots)
         u = build_us(S, family, rank)
         assert _symbolic_q_preserved(u, family, rank)
-        assert det(u.matrix) == GradedPoly.const(1)
+        assert cofactor_det(u.matrix) == GradedPoly.const(1)
 
 
 def test_point_fixed_by_us_symbolically():
@@ -146,7 +147,7 @@ def test_so_parameter_property_random_so6():
     found = 0
     for _ in range(200):
         combo = tuple(r for r in pos if rng.random() < 0.5)
-        if not combo or not roots_are_closed("D", 3, combo, pos):
+        if not combo or not oracle_roots_closed(combo, pos):
             continue
         S = closed_subset_from_roots("D", 3, combo)
         assert so_parameter_property(build_us(S, "D", 3))
