@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from . import __version__
@@ -112,6 +113,8 @@ def _resolve_subset(args) -> tuple:
         if flags["l"] not in (None, n - 1):
             raise UsageError(f"--l {flags['l']} conflicts with --n {n}")
         pairs = parse_pairs(flags["pairs"] or "")
+        if len(set(pairs)) != len(pairs):
+            raise UsageError("pair set has repeats")
         return ClosedSubset(n, frozenset(pairs)), family, n - 1
     rank = flags["l"]
     if rank is None:
@@ -357,6 +360,58 @@ def _render_table(report: dict, stream) -> None:
     walk("", report)
 
 
+def _dumps(report) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2)` byte for byte, in one
+    pass: the stdlib's C encoder runs only without indent.  Reports are
+    exact, so a float, a non-str key or any type other than str, int, bool,
+    None, list, tuple and dict raises TypeError.  Each separator and indent
+    goes into one chunk with the value after it, as in the stdlib's own
+    iterencode, so the chunk list is no longer than the one it builds."""
+    chunks = []
+    append = chunks.append
+
+    def emit(value, lead: str, indent: str) -> None:
+        # `lead` is the text before value; `indent` starts with "\n"
+        if isinstance(value, str):
+            append(lead + _quote(value))
+        elif value is None:
+            append(lead + "null")
+        elif value is True:
+            append(lead + "true")
+        elif value is False:
+            append(lead + "false")
+        elif isinstance(value, int):
+            append(lead + int.__repr__(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append(lead + "[]")
+                return
+            inner = indent + "  "
+            lead += "[" + inner
+            for item in value:
+                emit(item, lead, inner)
+                lead = "," + inner
+            append(indent + "]")
+        elif isinstance(value, dict):
+            if not value:
+                append(lead + "{}")
+                return
+            inner = indent + "  "
+            lead += "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"report key {key!r} is not a str")
+                emit(value[key], lead + _quote(key) + ": ", inner)
+                lead = "," + inner
+            append(indent + "}")
+        else:
+            raise TypeError(f"{type(value).__name__} {value!r} has no exact "
+                            f"JSON form")
+
+    emit(report, "", "\n")
+    return "".join(chunks)
+
+
 _IO_FLAGS = {"--out", "--format"}
 
 
@@ -400,7 +455,7 @@ def run(argv: Sequence[str]) -> int:
         "exit_code": code,
         "results": results,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -291,10 +291,11 @@ def generation_check(subset: ClosedSubset, family: str, rank: int,
     products = _minor_products(minors, d)
 
     def run(s: int):
+        hbound = d - n + s * n
+        check_monomial_cap(n, max(d, hbound))
         ech = RowEchelon()
         for f in products:
             ech.add(f.terms)
-        hbound = d - n + s * n
         for deg in range(hbound + 1):
             for mono in degree_monomials(n, deg):
                 ech.add((det_minus_one * GradedPoly({mono: Q1})).terms)

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import usinv.cli
 import usinv.invars
 import usinv.rootsys
 import usinv.stab
 from usinv.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE,
-                       UsageError, build_parser, main, parse_pairs, run)
+                       UsageError, _dumps, build_parser, main, parse_pairs,
+                       run)
 from usinv.exact import Q1
 from usinv.corpus import corpus_get, corpus_list, corpus_names
 from usinv.rootsys import parse_root
@@ -119,6 +121,14 @@ def test_repeated_roots_refused(capsys):
         assert "root set has repeats" in capsys.readouterr().err
 
 
+def test_repeated_pairs_refused(capsys):
+    """A repeated pair used to be dropped silently: this command reported
+    the set {1:2} as closed with exit 0."""
+    assert _exit_code("closed check --n 3 --pairs 1:2,1:2".split()) == (
+        EXIT_USAGE)
+    assert "pair set has repeats" in capsys.readouterr().err
+
+
 def test_size_flags_must_agree(capsys):
     """--l used to be ignored for family A and --n for B/C/D: the first
     command reported an SL_3 subset and the second a B_2 subset, both with
@@ -182,6 +192,16 @@ def test_monomial_cap_refused_before_any_solve(monkeypatch, capsys):
         assert _exit_code(command.split()) == EXIT_USAGE
         assert "exceed the cap 5000; raise it with USINV_CAP" in (
             capsys.readouterr().err)
+
+
+def test_monomial_cap_covers_slack_retries(capsys):
+    """Slack retries build (det - 1) rows up to degree d - n + slack * n;
+    this command used to run for more than a minute building degree 9."""
+    command = ("check-generation --n 3 --pairs 1:3 --degree 3 --slack 3 "
+               "--max-slack 3")
+    assert _exit_code(command.split()) == EXIT_USAGE
+    assert ("24310 monomials of degree 9 exceed the cap 5000; raise it with "
+            "USINV_CAP") in capsys.readouterr().err
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
@@ -488,3 +508,38 @@ def test_invalid_rank_refused_on_every_call(capsys):
     for _ in range(3):
         assert _exit_code(["stab", "--n", "1"]) == EXIT_USAGE
         assert "unsupported rank 0" in capsys.readouterr().err
+
+
+def test_dumps_matches_json_dumps(monkeypatch, capsys):
+    """The report encoder writes what json.dumps(sort_keys=True, indent=2)
+    writes, on edge cases and on the report of every golden command."""
+    cases = [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]],
+        "", "quote \" backslash \\ slash /", "\x00\x01\n\t\r\x1f\x7f",
+        "caf\u00e9 \u2207 \U0001d49e",
+        [True, 1, False, 0, None], {"t": True, "one": 1, "f": False, "z": 0},
+        [-1, -(2 ** 70), 2 ** 64, 2 ** 200],
+        (1, (2, "x"), []), {"k": ((),)},
+        {"10": 1, "2": 2, "1": {"b": 1, "a": [], "B": None}},
+    ]
+    for obj in cases:
+        assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2), obj
+    reports = []
+
+    def record(report):
+        reports.append(report)
+        return _dumps(report)
+
+    monkeypatch.setattr(usinv.cli, "_dumps", record)
+    for command, _ in GOLDEN:
+        run(command.split())
+    capsys.readouterr()
+    assert len(reports) == len(GOLDEN)
+    for report in reports:
+        assert _dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_dumps_refuses_inexact_values():
+    for obj in (1.5, [0.0], {"a": 2.0}, {1: "x"}, {"a": {3: 4}}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            _dumps(obj)

@@ -94,6 +94,10 @@ GOLDEN = [
      "40ec2f279407b120945d6be7ebc754b16dbaca30ca3d9b4bec28d55cec9622e5"),
     ("screen --n 4 --pairs 1:2,3:4 --alpha minimal --radius 2",
      "75528861b2d29cbeff2dbfc8aa6eb3ca9f20f9dee15adcaac3b00b89b9b46fbd"),
+    ("closed enumerate --n 5",
+     "c34e26e7b23f44f416568c8a50179d89314e7fe02a11cd219c1d6f3305b0d437"),
+    ("closed enumerate --n 6",
+     "a739741d26d9717de26e17eb7ff281844777b81040dfa9a72e25066500cf9b75"),
 ]
 
 
