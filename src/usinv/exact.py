@@ -6,6 +6,11 @@ Coefficients are exact: an `int` wherever a value is integral, else a
 `int` because integer arithmetic is several times cheaper than `Fraction`
 arithmetic (`int_if_integral` narrows a `Fraction` on the way in), and every
 division goes through `Fraction`, so no floating point arises anywhere.
+Callers with integral input, such as the invariant equations, assemble their
+matrices in `int`.  `nullspace` eliminates each block of columns that share
+rows in a `RowEchelon` of its own; the merged result is the unique reduced
+echelon form of the whole matrix.
+
 Wedge tuples are strictly increasing and 1-based.  A Leibniz term replaces
 one factor of a sorted tuple, so its sign comes from the position where the
 new index is inserted; inversion counting remains only in `sort_wedge` and
@@ -539,20 +544,47 @@ class RowEchelon:
 def nullspace(m: SparseMatrix) -> list[list["int | Fraction"]]:
     """Deterministic kernel basis read off the reduced echelon form.
 
+    Columns that share a row are joined into blocks by union-find in one
+    pass over the entries, and each block's rows are reduced in a
+    `RowEchelon` of their own, so no row is ever cleared against a pivot
+    of another block.  The merged pivots are the reduced row echelon form
+    of the whole matrix, which is unique, so the basis is the same as for
+    one elimination of all rows.
+
     Each free column f yields one basis vector with 1 at f, 0 at every other
     free column and -pivots[p][f] at each pivot column p.  The pivot columns
     are the greedy column basis of m, so the basis depends only on m.
     """
     rows: list[dict] = [{} for _ in range(m.rows)]
+    parent = list(range(m.cols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
     for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    ech = RowEchelon()
+        row = rows[r]
+        if row:
+            a, b = find(next(iter(row))), find(c)
+            if a != b:
+                parent[b] = a
+        row[c] = v
+    blocks: dict = {}
     for row in rows:
-        ech.add(row)
-    basis = {f: [Q0] * m.cols for f in range(m.cols) if f not in ech.pivots}
+        if row:
+            key = find(next(iter(row)))
+            ech = blocks.get(key)
+            if ech is None:
+                ech = blocks[key] = RowEchelon()
+            ech.add(row)
+    pivots: dict = {}
+    for ech in blocks.values():
+        pivots.update(ech.pivots)
+    basis = {f: [Q0] * m.cols for f in range(m.cols) if f not in pivots}
     for f, vec in basis.items():
-        vec[f] = Q1
-    for p, prow in ech.pivots.items():
+        vec[f] = 1
+    for p, prow in pivots.items():
         for f, c in prow.items():
             if f != p:
                 basis[f][p] = -c

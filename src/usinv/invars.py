@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, Q0, Q1, RowEchelon, SelfCheckError,
+from .exact import (GradedPoly, Matrix, Q1, RowEchelon, SelfCheckError,
                     SparseMatrix, column_support, mono_mul, nullspace,
                     sort_wedge, xvar)
 from .rootsys import Root, lie_algebra, root_index
@@ -31,10 +31,18 @@ DEFAULT_CAP = 5000
 
 def check_monomial_cap(n: int, d: int) -> None:
     """Refuse degree d in the n x n matrix coordinates when its monomials
-    outnumber the cap, DEFAULT_CAP unless USINV_CAP overrides it; they are
-    counted, not built, so nothing is solved before a refusal."""
+    outnumber the cap, DEFAULT_CAP unless USINV_CAP overrides it with a
+    positive integer; they are counted, not built, so nothing is solved
+    before a refusal."""
     count = math.comb(n * n + d - 1, d)
-    cap = int(os.environ.get("USINV_CAP") or DEFAULT_CAP)
+    text = os.environ.get("USINV_CAP") or str(DEFAULT_CAP)
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvariantError(f"USINV_CAP must be a positive integer, "
+                             f"not {text!r}")
     if count > cap:
         raise InvariantError(f"{count} monomials of degree {d} exceed "
                              f"the cap {cap}; raise it with USINV_CAP")
@@ -48,7 +56,7 @@ def apply_derivation_poly(A: Matrix, f: GradedPoly) -> GradedPoly:
 def derivation_terms(support: list, terms: dict) -> dict:
     """Terms of D_A f for the matrix A with the given column support: each
     factor x_{ij} of a monomial becomes A_{kj} x_{ik}, accumulated into one
-    term dict."""
+    term dict.  Integral coefficients and support values give int terms."""
     out: dict = {}
     for mono, c in terms.items():
         for pos, (v, e) in enumerate(mono):
@@ -62,7 +70,7 @@ def derivation_terms(support: list, terms: dict) -> dict:
             ce = c * e
             for k, a in support[j - 1]:
                 m2 = mono_mul(rest, ((xvar(i, k), 1),))
-                s = out.get(m2, Q0) + ce * a
+                s = out.get(m2, 0) + ce * a
                 if s:
                     out[m2] = s
                 else:
@@ -193,7 +201,12 @@ def degree_monomials(n: int, d: int) -> list:
 
 def invariant_space(subset: ClosedSubset, family: str, rank: int,
                     d: int) -> InvariantSpace:
-    """Basis of degree-d polynomials killed by every generator derivation."""
+    """Basis of degree-d polynomials killed by every generator derivation.
+
+    Generator supports are integral, so the equations are assembled in int
+    and each kernel vector is re-checked on its own coefficients; only a
+    checked vector becomes a GradedPoly.
+    """
     if d < 1:
         raise InvariantError("degree must be positive")
     check_monomial_cap(subset.n, d)
@@ -206,15 +219,15 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
     rows: dict = {}
     for a, support in enumerate(supports):
         for c, mono in enumerate(monos):
-            for m2, coeff in derivation_terms(support, {mono: Q1}).items():
+            for m2, coeff in derivation_terms(support, {mono: 1}).items():
                 rows.setdefault((a, m2), {})[c] = coeff
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], len(monos))
     basis = []
     for vec in nullspace(matrix):
-        f = GradedPoly({monos[c]: v for c, v in enumerate(vec) if v})
-        if any(derivation_terms(support, f.terms) for support in supports):
+        terms = {monos[c]: v for c, v in enumerate(vec) if v}
+        if any(derivation_terms(support, terms) for support in supports):
             raise SelfCheckError("invariant basis element fails re-check")
-        basis.append(f)
+        basis.append(GradedPoly(terms))
     return InvariantSpace(d, basis, len(basis))
 
 
@@ -279,6 +292,8 @@ def generation_check(subset: ClosedSubset, family: str, rank: int,
         raise InvariantError("degree must be positive")
     if slack < 0:
         raise InvariantError("slack must be nonnegative")
+    if max_slack < slack:
+        raise InvariantError("max slack must be at least the slack")
     n = subset.n
     check_monomial_cap(n, d)
     cols = column_sets(subset, family, rank)

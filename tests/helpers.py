@@ -1,14 +1,19 @@
 """Independent oracles for the test suite: brute-force enumeration, dense
 rational elimination, an independent derivation on dense exponent vectors,
-and a direct tensor expansion of weighted points.
+GL_n dimensions by the hook content formula, and a direct tensor expansion
+of weighted points.
 
-These deliberately avoid the production code paths they are used to check.
+These deliberately avoid the production code paths they are used to check;
+the one exception, `whole_matrix_nullspace`, keeps the single-`RowEchelon`
+path that `exact.nullspace` replaced, to check its block split.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from usinv.exact import RowEchelon
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -135,6 +140,26 @@ def dense_kernel(rows, ncols):
     return out
 
 
+def whole_matrix_nullspace(m):
+    """Kernel basis of a SparseMatrix with all of its rows in one
+    RowEchelon, as `exact.nullspace` computed it before it split the
+    columns into blocks; an oracle for that split only."""
+    rows = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    ech = RowEchelon()
+    for row in rows:
+        ech.add(row)
+    basis = {f: [Q0] * m.cols for f in range(m.cols) if f not in ech.pivots}
+    for f, vec in basis.items():
+        vec[f] = Q1
+    for p, prow in ech.pivots.items():
+        for f, c in prow.items():
+            if f != p:
+                basis[f][p] = -c
+    return list(basis.values())
+
+
 def same_span(a, b):
     """Whether two lists of dense vectors span the same space."""
     return dense_rank(a) == dense_rank(b) == dense_rank(list(a) + list(b))
@@ -230,6 +255,47 @@ def oracle_invariant_dimension(generator_matrices, n, degree):
         for t in targets:
             rows.append([images[c].get(t, Q0) for c in range(len(monos))])
     return dense_nullity(rows, len(monos))
+
+
+# ---------------------------------------------------------------------------
+# GL_n representation dimensions by the hook content formula
+# ---------------------------------------------------------------------------
+
+def partitions(d, max_parts):
+    """Partitions of d with at most max_parts parts, parts non-increasing."""
+    def rec(left, largest, parts):
+        if left == 0:
+            yield ()
+            return
+        if parts == 0:
+            return
+        for k in range(min(left, largest), 0, -1):
+            for rest in rec(left - k, k, parts - 1):
+                yield (k,) + rest
+    return list(rec(d, d, max_parts))
+
+
+def gl_dimension(shape, n):
+    """dim V_lambda of GL_n: the product over the boxes of the diagram of
+    (n + content) / hook length."""
+    conj = [sum(part > c for part in shape)
+            for c in range(max(shape, default=0))]
+    out = Q1
+    for r, part in enumerate(shape):
+        for c in range(part):
+            hook = (part - c) + (conj[c] - r) - 1
+            out *= Fraction(n + c - r, hook)
+    return out
+
+
+def polynomial_unipotent_invariants(n, d):
+    """Dimension of the degree-d polynomials on n x n matrices that are
+    invariant under the upper unitriangular group acting on one side: by
+    the Cauchy decomposition C[Mat_n]_d = sum over lambda |- d with at most
+    n rows of V_lambda^* (x) V_lambda, each V_lambda has a one-dimensional
+    space of highest weight vectors, so this is the sum of dim V_lambda
+    (Fulton, Young Tableaux, ch. 8)."""
+    return sum(gl_dimension(shape, n) for shape in partitions(d, n))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,38 @@ def test_monomial_cap_covers_slack_retries(capsys):
             "USINV_CAP") in capsys.readouterr().err
 
 
+def test_max_slack_below_slack_refused(capsys):
+    """Both used to exit 0 after a single run at the requested slack."""
+    for command in ("check-generation --n 2 --pairs 1:2 --degree 2 "
+                    "--max-slack -1",
+                    "check-generation --n 2 --pairs 1:2 --degree 2 "
+                    "--slack 1 --max-slack 0"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert "max slack must be at least the slack" in (
+            capsys.readouterr().err)
+    assert _exit_code("check-generation --n 2 --pairs 1:2 --degree 2 "
+                      "--slack 1 --max-slack 1".split()) == EXIT_PASS
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+def test_invalid_monomial_cap_refused(monkeypatch, capsys, value):
+    """USINV_CAP=abc used to print only int()'s own message."""
+    monkeypatch.setenv("USINV_CAP", value)
+    assert _exit_code("invariants --n 2 --degree 1".split()) == EXIT_USAGE
+    assert (f"USINV_CAP must be a positive integer, not {value!r}"
+            in capsys.readouterr().err)
+
+
+def test_monomial_cap_override(monkeypatch, capsys):
+    monkeypatch.setenv("USINV_CAP", "4")
+    assert _exit_code("invariants --n 2 --degree 1".split()) == EXIT_PASS
+    capsys.readouterr()
+    monkeypatch.setenv("USINV_CAP", "3")
+    assert _exit_code("invariants --n 2 --degree 1".split()) == EXIT_USAGE
+    assert "4 monomials of degree 1 exceed the cap 3" in (
+        capsys.readouterr().err)
+
+
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     """Every usinv line of the README's CLI block is accepted: none exits 3
     or 4, corpus entries next to flags that agree with them included."""

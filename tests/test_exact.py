@@ -16,8 +16,9 @@ from usinv.points import build_point
 from usinv.rootsys import MatrixLieData, lie_algebra, parse_root
 from usinv.stab import lie_stabilizer
 from usinv.subsets import ClosedSubset, closed_subset_from_roots
-from helpers import (_wedge_derivation, dense_nullity, dense_rank, dense_rref,
-                     random_rational_matrix)
+from helpers import (_wedge_derivation, dense_kernel, dense_nullity,
+                     dense_rank, dense_rref, random_rational_matrix,
+                     whole_matrix_nullspace)
 
 
 def test_poly_arithmetic():
@@ -418,6 +419,80 @@ def test_nullspace_int_and_fraction_input_agree():
     m = SparseMatrix.from_rows([{0: Fraction(4, 2), 1: Fraction(1, 2)}], 2)
     assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2)}
     assert type(m.entries[0, 0]) is int
+
+
+def _direct_sum(rng):
+    """Dense rows of a seeded direct sum: a one-column block, random
+    blocks, zero columns and empty rows, with the columns interleaved by a
+    random permutation and the rows shuffled."""
+    shapes = [(rng.randint(1, 3), 1)] + [(rng.randint(1, 5), rng.randint(1, 5))
+                                          for _ in range(rng.randint(1, 4))]
+    zero_cols = rng.randint(0, 2)
+    cols = sum(w for _, w in shapes) + zero_cols
+    perm = list(range(cols))
+    rng.shuffle(perm)
+    M, start = [], 0
+    for height, width in shapes:
+        for _ in range(height):
+            row = [Q0] * cols
+            for c in range(width):
+                if rng.random() < 0.6:
+                    row[perm[start + c]] = (Fraction(rng.randint(-3, 3),
+                                                     rng.randint(1, 2))
+                                            if rng.random() < 0.3
+                                            else rng.randint(-3, 3))
+            M.append(row)
+        start += width
+    M += [[Q0] * cols for _ in range(rng.randint(0, 2))]
+    rng.shuffle(M)
+    return M, cols
+
+
+def _row_blocks(M, cols):
+    """Connected components of the columns joined by a shared row, counted
+    only where they hold a nonzero row: a breadth-first search."""
+    seen, count = set(), 0
+    for start in range(cols):
+        if start in seen or not any(row[start] for row in M):
+            continue
+        count += 1
+        todo = [start]
+        seen.add(start)
+        while todo:
+            c = todo.pop()
+            for row in M:
+                if row[c]:
+                    for c2, x in enumerate(row):
+                        if x and c2 not in seen:
+                            seen.add(c2)
+                            todo.append(c2)
+    return count
+
+
+def test_nullspace_block_split_matches_whole_matrix(monkeypatch):
+    """Each block of columns joined by shared rows is eliminated in its own
+    RowEchelon, and the merged basis is exactly the one of a single
+    elimination of all rows, and of the dense textbook elimination."""
+    made = []
+
+    class Counted(RowEchelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    rng = random.Random(23)
+    for _ in range(100):
+        M, cols = _direct_sum(rng)
+        m = _sparse(M, cols)
+        made.clear()
+        monkeypatch.setattr("usinv.exact.RowEchelon", Counted)
+        basis = nullspace(m)
+        monkeypatch.undo()
+        assert len(made) == _row_blocks(M, cols)
+        assert basis == whole_matrix_nullspace(m) == dense_kernel(M, cols)
+        assert len(basis) == dense_nullity(M, cols)
+        assert all(_exact_entries(v) for v in basis)
+        _check_kernel(M, cols, basis)
 
 
 def _flatten(M):

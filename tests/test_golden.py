@@ -182,6 +182,22 @@ def test_stab_sweep_digest(capsys):
         "cc3196f95b3e5085be6624e54910eb9304dd22112c8940c42fd1369f53e19709")
 
 
+def test_invariants_sweep_digest(capsys):
+    """Every closed SL_4 set at degree 2 and every closed SL_3 set at degree
+    3: the invariant equations, their elimination and the kernel basis order
+    for each pattern of blocks these sets give."""
+    commands = [["invariants"] + args + ["--degree", "2"]
+                for args in _closed_sets(4)]
+    assert len(commands) == 40
+    assert _sweep_digest(capsys, commands) == (
+        "bc2dd53087c9392ef64e4f9c1867801e8f8d53c10135ede9d5f76d3b2a5895c7")
+    commands = [["invariants"] + args + ["--degree", "3"]
+                for args in _closed_sets(3)]
+    assert len(commands) == 7
+    assert _sweep_digest(capsys, commands) == (
+        "5e14bb5bc6419ad1189a24aea7a18b76b349d5e66dc931305e4afb54a23f3eaf")
+
+
 def _pairs_arg(subset) -> str:
     return ",".join(f"{i}:{j}" for i, j in sorted(subset.pairs))
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from usinv.exact import Q0, GradedPoly, eij, xvar
+import usinv.invars
+from usinv.exact import Q0, GradedPoly, SparseMatrix, eij, xvar
 from usinv.invars import (InvariantError, Minor, apply_derivation_poly,
                           generation_check, invariant_space,
                           is_invariant_minor, minor_poly,
@@ -16,7 +17,7 @@ from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
                            column_sets, enumerate_closed)
 from helpers import (dense_derivation_image, dense_monomials,
                      oracle_invariant_dimension, pair_generators,
-                     random_rational_matrix)
+                     polynomial_unipotent_invariants, random_rational_matrix)
 
 
 def x(i, j):
@@ -181,6 +182,41 @@ def test_invariant_space_matches_dense_oracle():
                 got = invariant_space(S, "A", n - 1, d).dimension
                 want = oracle_invariant_dimension(mats, n, d)
                 assert got == want, (S.sorted_pairs(), d)
+
+
+@pytest.mark.parametrize("n,dmax", [(2, 4), (3, 4), (4, 3)])
+def test_full_borel_invariants_match_hook_content(n, dmax):
+    """The full Borel's invariants in degree d have the dimension
+    sum of dim V_lambda over lambda |- d with at most n rows."""
+    S = ClosedSubset(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
+    for d in range(1, dmax + 1):
+        assert (invariant_space(S, "A", n - 1, d).dimension
+                == polynomial_unipotent_invariants(n, d)), d
+
+
+def test_invariant_equations_are_int(monkeypatch):
+    """Generator supports are integral, so the SL_4 equations are assembled
+    in int, before `SparseMatrix.from_rows` could narrow them, and reach
+    the elimination with int entries only."""
+    solve, build = usinv.invars.nullspace, SparseMatrix.from_rows
+    rows, seen = [], []
+
+    def recording_build(built, cols):
+        rows.extend(built)
+        return build(built, cols)
+
+    def recording_solve(m):
+        seen.append(m)
+        return solve(m)
+
+    monkeypatch.setattr(SparseMatrix, "from_rows",
+                        staticmethod(recording_build))
+    monkeypatch.setattr(usinv.invars, "nullspace", recording_solve)
+    for S in enumerate_closed(4)[1::6]:
+        invariant_space(S, "A", 3, 2)
+    assert len(seen) == 7 and all(m.entries for m in seen)
+    assert all(type(v) is int for row in rows for v in row.values())
+    assert all(type(v) is int for m in seen for v in m.entries.values())
 
 
 def test_invariant_space_monotone_in_subset():
