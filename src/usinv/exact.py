@@ -7,9 +7,12 @@ Coefficients are exact: an `int` wherever a value is integral, else a
 arithmetic (`int_if_integral` narrows a `Fraction` on the way in), and every
 division goes through `Fraction`, so no floating point arises anywhere.
 Callers with integral input, such as the invariant equations, assemble their
-matrices in `int`.  `nullspace` eliminates each block of columns that share
-rows in a `RowEchelon` of its own; the merged result is the unique reduced
-echelon form of the whole matrix.
+matrices in `int`.  `nullspace` first presolves: a row with one entry forces
+its column to 0 in every kernel vector, so the column is dropped from every
+other row, to a fixed point.  What is left is split into blocks of columns
+that share rows, each eliminated in a `RowEchelon` of its own; the forced
+columns' unit rows and the merged pivots are the unique reduced echelon form
+of the whole matrix.
 
 Wedge tuples are strictly increasing and 1-based.  A Leibniz term replaces
 one factor of a sorted tuple, so its sign comes from the position where the
@@ -544,18 +547,47 @@ class RowEchelon:
 def nullspace(m: SparseMatrix) -> list[list["int | Fraction"]]:
     """Deterministic kernel basis read off the reduced echelon form.
 
-    Columns that share a row are joined into blocks by union-find in one
-    pass over the entries, and each block's rows are reduced in a
-    `RowEchelon` of their own, so no row is ever cleared against a pivot
-    of another block.  The merged pivots are the reduced row echelon form
-    of the whole matrix, which is unique, so the basis is the same as for
-    one elimination of all rows.
+    A presolve runs first: each row with exactly one entry forces its
+    column, forced columns are dropped from the other rows, and rows left
+    empty are dropped.  A row may become a singleton only once another
+    column is forced, so this repeats until no pass forces a new column;
+    each pass is linear in the entries left.  A forced column c is 0 in every
+    kernel vector, so it is never free, and its reduced row is the unit row
+    {c: 1}: the row's entries at free columns f are minus the kernel
+    vectors' values at c, all 0.  The reduced rows of the other pivots are
+    0 at every forced column, so they are the reduced echelon form of the
+    rows left over.
+
+    Columns that share a row left over are joined into blocks by
+    union-find, and each block's rows are reduced in a `RowEchelon` of
+    their own, so no row is ever cleared against a pivot of another block.
+    The unit rows and the merged pivots are the reduced row echelon form of
+    the whole matrix, which is unique, so the basis is the same as for one
+    elimination of all rows.
 
     Each free column f yields one basis vector with 1 at f, 0 at every other
     free column and -pivots[p][f] at each pivot column p.  The pivot columns
     are the greedy column basis of m, so the basis depends only on m.
     """
     rows: list[dict] = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        if v:
+            rows[r][c] = v
+    rows = [row for row in rows if row]
+    forced: set = set()
+    while True:
+        new = {next(iter(row)) for row in rows if len(row) == 1}
+        if not new:
+            break
+        forced |= new
+        rest = []
+        for row in rows:
+            if len(row) > 1:
+                if not new.isdisjoint(row):
+                    row = {c: v for c, v in row.items() if c not in new}
+                if row:
+                    rest.append(row)
+        rows = rest
     parent = list(range(m.cols))
 
     def find(c: int) -> int:
@@ -563,22 +595,21 @@ def nullspace(m: SparseMatrix) -> list[list["int | Fraction"]]:
             parent[c] = c = parent[parent[c]]
         return c
 
-    for (r, c), v in m.entries.items():
-        row = rows[r]
-        if row:
-            a, b = find(next(iter(row))), find(c)
+    for row in rows:
+        it = iter(row)
+        a = find(next(it))
+        for c in it:
+            b = find(c)
             if a != b:
                 parent[b] = a
-        row[c] = v
     blocks: dict = {}
     for row in rows:
-        if row:
-            key = find(next(iter(row)))
-            ech = blocks.get(key)
-            if ech is None:
-                ech = blocks[key] = RowEchelon()
-            ech.add(row)
-    pivots: dict = {}
+        key = find(next(iter(row)))
+        ech = blocks.get(key)
+        if ech is None:
+            ech = blocks[key] = RowEchelon()
+        ech.add(row)
+    pivots: dict = {c: {c: 1} for c in forced}
     for ech in blocks.values():
         pivots.update(ech.pivots)
     basis = {f: [Q0] * m.cols for f in range(m.cols) if f not in pivots}

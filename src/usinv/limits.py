@@ -309,9 +309,11 @@ class ScreenReport:
 
 def cocharacter_grid(family: str, rank: int, radius: int):
     """All cocharacters with entries bounded by the radius, family
-    constraints enforced, in lexicographic order of the weight vectors."""
-    if radius < 0:
-        raise LimitError("radius must be nonnegative")
+    constraints enforced, in lexicographic order of the weight vectors.
+    Radius 0 is refused: its grid holds only the zero cocharacter, whose
+    limit is the point itself, so a screen over it screens no boundary."""
+    if radius < 1:
+        raise LimitError("radius must be at least 1")
     n = ambient_dim(family, rank)
     out = []
     if family == "A":

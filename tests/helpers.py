@@ -142,8 +142,8 @@ def dense_kernel(rows, ncols):
 
 def whole_matrix_nullspace(m):
     """Kernel basis of a SparseMatrix with all of its rows in one
-    RowEchelon, as `exact.nullspace` computed it before it split the
-    columns into blocks; an oracle for that split only."""
+    RowEchelon, with neither the singleton-row presolve nor the block split
+    of `exact.nullspace`; an oracle for those two steps only."""
     rows = [{} for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v

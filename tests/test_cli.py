@@ -405,10 +405,13 @@ def _exit_code(argv):
 
 
 def test_screen_negative_radius_refused(capsys):
-    # an empty grid used to report total 0 and passed true
-    assert _exit_code(["screen", "--n", "3", "--pairs", "1:2",
-                       "--radius", "-1"]) == EXIT_USAGE
-    assert "radius" in capsys.readouterr().err
+    # an empty grid used to report total 0 and passed true; radius 0 holds
+    # only the zero cocharacter, whose limit is p itself, and passed with
+    # total 1 without screening any boundary
+    for radius in ("-1", "0"):
+        assert _exit_code(["screen", "--n", "3", "--pairs", "1:2",
+                           "--radius", radius]) == EXIT_USAGE
+        assert "radius" in capsys.readouterr().err
 
 
 def test_closed_enumerate_nonpositive_n_refused(capsys):

@@ -469,10 +469,30 @@ def _row_blocks(M, cols):
     return count
 
 
-def test_nullspace_block_split_matches_whole_matrix(monkeypatch):
-    """Each block of columns joined by shared rows is eliminated in its own
-    RowEchelon, and the merged basis is exactly the one of a single
-    elimination of all rows, and of the dense textbook elimination."""
+def _forced_columns(M, cols):
+    """Columns forced to 0 by a row with one nonzero entry outside the
+    columns forced before, to a fixed point: a dense re-scan per round."""
+    forced = set()
+    while True:
+        new = set()
+        for row in M:
+            live = [c for c in range(cols) if row[c] and c not in forced]
+            if len(live) == 1:
+                new.add(live[0])
+        if not new:
+            return forced
+        forced |= new
+
+
+def _left_after_forcing(M, cols):
+    """The rows of M with every forced column set to 0."""
+    forced = _forced_columns(M, cols)
+    return [[Q0 if c in forced else x for c, x in enumerate(row)]
+            for row in M]
+
+
+def _counted_nullspace(monkeypatch, m):
+    """nullspace(m) and the number of RowEchelon instances it made."""
     made = []
 
     class Counted(RowEchelon):
@@ -480,19 +500,99 @@ def test_nullspace_block_split_matches_whole_matrix(monkeypatch):
             super().__init__()
             made.append(self)
 
+    monkeypatch.setattr("usinv.exact.RowEchelon", Counted)
+    try:
+        basis = nullspace(m)
+    finally:
+        monkeypatch.undo()
+    return basis, len(made)
+
+
+def test_nullspace_block_split_matches_whole_matrix(monkeypatch):
+    """After the presolve, each block of columns joined by shared rows left
+    over is eliminated in its own RowEchelon, and the merged basis is
+    exactly the one of a single elimination of all rows, and of the dense
+    textbook elimination."""
     rng = random.Random(23)
+    split = 0
     for _ in range(100):
         M, cols = _direct_sum(rng)
         m = _sparse(M, cols)
-        made.clear()
-        monkeypatch.setattr("usinv.exact.RowEchelon", Counted)
-        basis = nullspace(m)
-        monkeypatch.undo()
-        assert len(made) == _row_blocks(M, cols)
+        basis, made = _counted_nullspace(monkeypatch, m)
+        assert made == _row_blocks(_left_after_forcing(M, cols), cols)
+        split += made > 1
         assert basis == whole_matrix_nullspace(m) == dense_kernel(M, cols)
         assert len(basis) == dense_nullity(M, cols)
         assert all(_exact_entries(v) for v in basis)
         _check_kernel(M, cols, basis)
+    assert split > 10
+
+
+def _value(rng):
+    """A nonzero entry: a unit, a non-unit int or a Fraction."""
+    return rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
+
+
+def _presolve_case(rng):
+    """Dense rows of a seeded matrix made for the presolve: a chain of
+    columns c0, c1, ... where row k holds c(k-1) and ck, so ck is forced
+    only once c(k-1) is; a duplicated singleton on c0; a row over chain
+    columns only, left empty; and rows mixing chain columns with the free
+    rest, with the columns and rows shuffled."""
+    depth = rng.randint(3, 5)
+    cols = depth + rng.randint(0, 5)
+    perm = list(range(cols))
+    rng.shuffle(perm)
+    chain, rest = perm[:depth], perm[depth:]
+    sparse_rows = [{chain[0]: _value(rng)}, {chain[0]: _value(rng)}]
+    sparse_rows += [{chain[k - 1]: _value(rng), chain[k]: _value(rng)}
+                    for k in range(1, depth)]
+    sparse_rows.append({c: _value(rng) for c in rng.sample(chain, 3)})
+    for _ in range(rng.randint(0, 4)):
+        row = {c: _value(rng) for c in rest if rng.random() < 0.5}
+        row.update({c: _value(rng) for c in chain if rng.random() < 0.3})
+        sparse_rows.append(row)
+    rng.shuffle(sparse_rows)
+    return [[row.get(c, Q0) for c in range(cols)] for row in sparse_rows], cols
+
+
+def test_nullspace_presolve_sweep(monkeypatch):
+    """Forced columns, chains of rows that become singletons only once
+    another column is forced, rows left empty and forced columns inside
+    longer rows all give the canonical basis of the whole-matrix and dense
+    eliminations; a RowEchelon is made only for a block left over."""
+    rng = random.Random(31)
+    cases = [_presolve_case(rng) for _ in range(150)]
+    for _ in range(150):
+        # random sparse rows, mostly singletons
+        cols = rng.randint(1, 8)
+        M = [[Q0] * cols for _ in range(rng.randint(0, 10))]
+        for row in M:
+            width = min(cols, rng.choice((1, 1, 1, 2, 3)))
+            for c in rng.sample(range(cols), width):
+                row[c] = _value(rng)
+        cases.append((M, cols))
+    # all singletons, duplicates among them, and one column left free
+    cases.append(([[Q0, 2, Q0, Q0], [Fraction(1, 3), Q0, Q0, Q0],
+                   [Q0, Q0, Q0, -1], [Q0, Fraction(-7, 2), Q0, Q0]], 4))
+    for M, cols in cases:
+        m = _sparse(M, cols)
+        basis, made = _counted_nullspace(monkeypatch, m)
+        left = _left_after_forcing(M, cols)
+        assert made == _row_blocks(left, cols)
+        assert basis == whole_matrix_nullspace(m) == dense_kernel(M, cols)
+        assert all(_exact_entries(v) for v in basis)
+        _check_kernel(M, cols, basis)
+        for c in _forced_columns(M, cols):
+            assert all(v[c] == 0 for v in basis)
+    for M, cols in cases[:150]:
+        # the chain is forced whole, and its closing row is left empty
+        assert len(_forced_columns(M, cols)) >= 3
+    basis, made = _counted_nullspace(monkeypatch, _sparse(cases[-1][0], 4))
+    assert made == 0 and basis == [[Q0, Q0, Q1, Q0]]
+    basis, made = _counted_nullspace(monkeypatch,
+                                     SparseMatrix.from_rows([], 2))
+    assert made == 0 and basis == [[Q1, Q0], [Q0, Q1]]
 
 
 def _flatten(M):
