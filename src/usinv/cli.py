@@ -63,11 +63,12 @@ def parse_pairs(text: str) -> list:
     return out
 
 
-def parse_weights(text: str) -> tuple:
+def parse_weights(text: str, name: str = "weight vector") -> tuple:
+    """A comma list of integers; `name` says what it is in the error."""
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse weight vector {text!r}")
+        raise UsageError(f"cannot parse {name} {text!r}")
 
 
 def _corpus_flags(flags: dict) -> dict:
@@ -243,8 +244,8 @@ def _cmd_point(args) -> tuple:
     subset, family, rank = _resolve_subset(args)
     alpha = _alpha_arg(args)
     index_set = None
-    if getattr(args, "index_set", None):
-        index_set = tuple(int(x) for x in args.index_set.split(","))
+    if args.index_set is not None:
+        index_set = parse_weights(args.index_set, "index set")
     pattern = build_us(subset, family, rank)
     point = build_point(subset, family, rank, index_set=index_set, alpha=alpha)
     results = {

@@ -1,6 +1,11 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, exterior algebra,
 and sparse linear algebra on one incremental reduced row echelon form.
 
+`MultiVector` is the one point type: a labeled direct sum of wedge powers.
+The plain point p_S has no flag levels; the weighted point p_{S,alpha} adds
+flag levels along a permutation sigma and tags each summand with its power
+alpha_j of the flag tensor, which is 0 on a point with no flag levels.
+
 Coefficients are exact: an `int` wherever a value is integral, else a
 `fractions.Fraction`, or a `GradedPoly` over those.  Integral values stay
 `int` because integer arithmetic is several times cheaper than `Fraction`
@@ -309,10 +314,13 @@ def sort_wedge(idx: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 @dataclass
 class Summand:
-    """One wedge-power component: degree k, label, sparse coefficients."""
+    """One wedge-power component: degree k, label, sparse coefficients, and
+    the power alpha of the flag tensor it is tagged with (0 on a point with
+    no flag levels; the power is stored, never expanded)."""
     k: int
     label: str
     comps: dict  # strictly increasing tuple -> Fraction | GradedPoly
+    alpha: int = 0
 
     def is_zero(self) -> bool:
         return not any(self.comps.values())
@@ -320,12 +328,31 @@ class Summand:
 
 @dataclass
 class MultiVector:
-    """Element of a labeled direct sum of wedge powers of C^n."""
+    """Element of a labeled direct sum of wedge powers of C^n: the plain
+    point p_S, or with flag levels the weighted point p_{S,alpha}.
+
+    A weighted point adds `levels` flag summands: flag_coeffs[k-1] is the
+    coefficient of e_{sigma(1)} ^ ... ^ e_{sigma(k)}, each 1 on a fresh point
+    and possibly 0 on a limit of one.
+    """
     n: int
     summands: list  # list[Summand]
+    sigma: tuple = ()
+    levels: int = 0
+    flag_coeffs: list = field(default_factory=list)  # length == levels
 
     def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.summands)
+        return (all(s.is_zero() for s in self.summands)
+                and not any(self.flag_coeffs))
+
+    def flag_tuple(self, k: int) -> tuple:
+        # sign-free: every equation involving the flag wedge is homogeneous
+        # in it, so the sorted tuple is the right basis key
+        t, _ = sort_wedge(self.sigma[:k])
+        return t
+
+    def alphas(self) -> dict:
+        return {s.label: s.alpha for s in self.summands}
 
     @staticmethod
     def pure(n: int, parts: Sequence[tuple[Sequence[int], str]]) -> "MultiVector":
@@ -340,14 +367,29 @@ class MultiVector:
         return MultiVector(n, summands)
 
     def to_json(self) -> dict:
+        if not self.levels:
+            return {
+                "shape": [{"k": s.k, "label": s.label} for s in self.summands],
+                "components": [
+                    {"summand": s.label, "idx": list(t), "coeff": frac_str(c)}
+                    for s in self.summands
+                    for t, c in sorted(s.comps.items())
+                    if c
+                ],
+            }
         return {
-            "shape": [{"k": s.k, "label": s.label} for s in self.summands],
-            "components": [
-                {"summand": s.label, "idx": list(t), "coeff": frac_str(c)}
-                for s in self.summands
-                for t, c in sorted(s.comps.items())
-                if c
-            ],
+            "n": self.n,
+            "sigma": list(self.sigma),
+            "flag_levels": self.levels,
+            "summands": [{
+                "label": s.label,
+                "alpha": s.alpha,
+                "k": s.k,
+                "components": [{"idx": list(t), "coeff": frac_str(c)}
+                               for t, c in sorted(s.comps.items())],
+            } for s in self.summands],
+            "flag": [{"level": k, "coeff": frac_str(c)}
+                     for k, c in enumerate(self.flag_coeffs, start=1)],
         }
 
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
                     apply_group, column_support, xvar)
-from .points import (WeightedPoint, WeightedSummand, alpha_valid, build_point,
-                     default_index_set, flag_prefix_sums)
+from .points import (alpha_valid, build_point, default_index_set,
+                     flag_prefix_sums)
 from .rootsys import ambient_dim, flag_permutation, lie_algebra
 from .stab import lie_stabilizer
 from .subsets import ClosedSubset, ColumnFamily
@@ -33,8 +33,7 @@ class Cocharacter:
     """Integer diagonal weight vector; the curve diag(t^{w_1},...,t^{w_n}).
 
     Family constraints: A needs weight sum 0; B/C/D need w_{l+i} = -w_i
-    (and w_n = 0 for B); Matrix weights must lie in the rational span of the
-    torus diagonal.
+    (and w_n = 0 for B).  Any other family is refused.
     """
     family: str
     rank: int
@@ -56,8 +55,6 @@ class Cocharacter:
                     raise LimitError("weights must satisfy w_{l+i} = -w_i")
             if self.family == "B" and w[-1] != 0:
                 raise LimitError("type B needs w_n = 0")
-        elif self.family == "Matrix":
-            pass
         else:
             raise LimitError(f"unsupported family {self.family!r}")
 
@@ -65,7 +62,7 @@ class Cocharacter:
 @dataclass
 class LimitOutcome:
     kind: str                       # "converges" | "diverges"
-    value: object = None            # MultiVector | WeightedPoint when finite
+    value: Optional[MultiVector] = None   # the limit point when finite
     ledger: dict = field(default_factory=dict)   # component key -> t-exponent
     negative_witness: Optional[tuple] = None     # (key, exponent) when divergent
 
@@ -128,26 +125,29 @@ def _graded_apply(comps: dict, weights: tuple, shift: int,
     return out
 
 
-def cochar_limit(p, lam: Cocharacter, u: Optional[Matrix] = None,
+def cochar_limit(p: MultiVector, lam: Cocharacter, u: Optional[Matrix] = None,
                  uprime: Optional[Matrix] = None) -> LimitOutcome:
     """Limit of (u.p).lambda(t).uprime as t -> 0.
 
     Divergence means some symbolically nonzero coefficient carries a negative
     t-exponent; otherwise the exponent-zero part is returned and the ledger
-    records the leading exponent of every nonzero component.  A weighted
-    point differs from a plain one in three ways: each summand's exponents
-    are raised by alpha_j times the sum E of the flag prefix sums, the flag
-    levels enter the ledger, and the conjugators must be unitriangular.
+    records the leading exponent of every nonzero component.  Each summand's
+    exponents are raised by alpha_j times the sum E of the flag prefix sums,
+    and each flag level enters the ledger with its prefix sum.  On a point
+    with flag levels the conjugators must be unitriangular in sigma-order;
+    with none, E is 0 and there is no flag, so any conjugators do.
     """
-    if not isinstance(p, (MultiVector, WeightedPoint)):
-        raise LimitError(f"unsupported point type {type(p).__name__}")
     w = lam.weights
     if len(w) != p.n:
         raise LimitError("weight length mismatch")
     for M in (u, uprime):
-        if M is not None and (len(M) != p.n
-                              or any(len(row) != p.n for row in M)):
+        if M is None:
+            continue
+        if len(M) != p.n or any(len(row) != p.n for row in M):
             raise LimitError(f"conjugators must be {p.n} x {p.n} matrices")
+        if p.levels and not _is_unitriangular(M, p.sigma):
+            raise LimitError("conjugators must be unipotent upper "
+                             "triangular in sigma-order")
     supports = [None if M is None else column_support(M) for M in (u, uprime)]
     ledger: dict = {}
     negative: Optional[tuple] = None
@@ -167,28 +167,19 @@ def cochar_limit(p, lam: Cocharacter, u: Optional[Matrix] = None,
                 comp0[t] = lau[0]
         return comp0
 
-    if isinstance(p, MultiVector):
-        value = MultiVector(p.n, [
-            Summand(s.k, s.label,
-                    limit_block(s.comps, s.label or f"c{idx}", 0))
-            for idx, s in enumerate(p.summands)])
-    else:
-        for M in (u, uprime):
-            if M is not None and not _is_unitriangular(M, p.sigma):
-                raise LimitError("conjugators must be unipotent upper "
-                                 "triangular in sigma-order")
-        prefixes = flag_prefix_sums(dict(enumerate(w, start=1)), p.sigma,
-                                    p.levels)
-        E = sum(prefixes)
-        summands = [WeightedSummand(s.label, s.alpha, s.k,
-                                    limit_block(s.comps, s.label, s.alpha * E))
-                    for s in p.summands]
-        flags = []
-        for k, (c, e) in enumerate(zip(p.flag_coeffs, prefixes), start=1):
-            if c:
-                note(("flag", k), e)
-            flags.append(c if c and e == 0 else Q0)
-        value = WeightedPoint(p.n, p.sigma, p.levels, summands, flags)
+    prefixes = flag_prefix_sums(dict(enumerate(w, start=1)), p.sigma,
+                                p.levels)
+    E = sum(prefixes)
+    summands = [Summand(s.k, s.label,
+                        limit_block(s.comps, s.label or f"c{idx}",
+                                    s.alpha * E), s.alpha)
+                for idx, s in enumerate(p.summands)]
+    flags = []
+    for k, (c, e) in enumerate(zip(p.flag_coeffs, prefixes), start=1):
+        if c:
+            note(("flag", k), e)
+        flags.append(c if c and e == 0 else Q0)
+    value = MultiVector(p.n, summands, p.sigma, p.levels, flags)
     if negative is not None:
         return LimitOutcome("diverges", ledger=ledger,
                             negative_witness=negative)

@@ -1,8 +1,11 @@
-"""Symbolic U_S matrices, wedge-embedding points, weighted points, and the
-exponent conditions on the weight vector alpha.
+"""Symbolic U_S matrices, wedge-embedding points, and the exponent
+conditions on the weight vector alpha.
 
-Tensor powers of the flag tensor are never materialized: a weighted summand
-stores its integer power alpha_j and all downstream computations use the
+There is one point type, `exact.MultiVector`.  The plain point p_S is the
+direct sum of the wedges of the column sets S_j; the weighted point
+p_{S,alpha} is the same sum with flag levels added and each summand tagged
+with its power alpha_j of the flag tensor.  Tensor powers of the flag tensor
+are never materialized: all downstream computations use the
 Leibniz/eigenvector structure on pure tensors.
 """
 
@@ -13,8 +16,8 @@ import string
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, exp_nilpotent,
-                    frac_str, mat_mul, mat_substitute, pvar, sort_wedge)
+from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
+                    exp_nilpotent, frac_str, mat_mul, mat_substitute, pvar)
 from .invars import subset_roots
 from .rootsys import (MatrixLieData, ambient_dim, find_generating_subsets,
                       flag_permutation, lie_algebra, root_index)
@@ -150,62 +153,6 @@ def flag_levels(family: str, rank: int, n: Optional[int] = None) -> int:
     return n
 
 
-@dataclass
-class WeightedSummand:
-    """One weighted component: a wedge block tagged with the power alpha_j of
-    the flag tensor (the power is stored, never expanded)."""
-    label: str
-    alpha: int
-    k: int
-    comps: dict  # strictly increasing tuple -> Fraction
-
-    def is_zero(self) -> bool:
-        return not any(self.comps.values())
-
-
-@dataclass
-class WeightedPoint:
-    """p_{S,alpha}: weighted wedge summands plus the flag part.
-
-    flag_coeffs[k-1] is the coefficient of e_{sigma(1)} ^ ... ^ e_{sigma(k)};
-    a fresh point has every flag coefficient 1, limits may zero some out.
-    """
-    n: int
-    sigma: tuple
-    levels: int
-    summands: list                 # list[WeightedSummand]
-    flag_coeffs: list              # list[Fraction], length == levels
-
-    def flag_tuple(self, k: int) -> tuple:
-        # sign-free: every equation involving the flag wedge is homogeneous
-        # in it, so the sorted tuple is the right basis key
-        t, _ = sort_wedge(self.sigma[:k])
-        return t
-
-    def is_zero(self) -> bool:
-        return (all(s.is_zero() for s in self.summands)
-                and all(c == 0 for c in self.flag_coeffs))
-
-    def alphas(self) -> dict:
-        return {s.label: s.alpha for s in self.summands}
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma": list(self.sigma),
-            "flag_levels": self.levels,
-            "summands": [{
-                "label": s.label,
-                "alpha": s.alpha,
-                "k": s.k,
-                "components": [{"idx": list(t), "coeff": frac_str(c)}
-                               for t, c in sorted(s.comps.items())],
-            } for s in self.summands],
-            "flag": [{"level": k, "coeff": frac_str(c)}
-                     for k, c in enumerate(self.flag_coeffs, start=1)],
-        }
-
-
 def flag_prefix_sums(diagonal: Mapping, sigma: tuple, levels: int) -> list:
     """Entry k - 1 sums diagonal[j] over j = sigma(1), ..., sigma(k), for
     k = 1..levels, an absent j counting 0.  For cocharacter weights these
@@ -262,7 +209,8 @@ def build_point(subset: ClosedSubset, family: str, rank: int,
                 index_set: Optional[Sequence[int]] = None,
                 alpha: "str | Sequence[int] | None" = None,
                 data: Optional[MatrixLieData] = None):
-    """p_S (alpha None) or the weighted point p_{S,alpha}.
+    """p_S (alpha None), with no flag levels, or the weighted point
+    p_{S,alpha}, with the flag levels of the family and sigma.
 
     The weighted point always carries the flag part; alpha may be the string
     "minimal" or an explicit sequence indexed along the sigma-order of the
@@ -302,6 +250,5 @@ def build_point(subset: ClosedSubset, family: str, rank: int,
     summands = []
     for j in sorted(index_set):
         t = tuple(sorted(cols[j]))
-        summands.append(WeightedSummand(f"S_{j}", by_index[j], len(t),
-                                        {t: Q1}))
-    return WeightedPoint(n, sigma, levels, summands, [Q1] * levels)
+        summands.append(Summand(len(t), f"S_{j}", {t: Q1}, by_index[j]))
+    return MultiVector(n, summands, sigma, levels, [Q1] * levels)

@@ -1,11 +1,14 @@
-"""Exact Lie-algebra stabilizers of wedge points and weighted points, and
-comparison against the span of the root generators of S.
+"""Exact Lie-algebra stabilizers of points, and comparison against the span
+of the root generators of S.
 
-For a weighted point the system is assembled by reduction: surviving flag
-summands force A f_k = 0; any surviving weighted summand forces every flag
-wedge to be an eigenvector of A, after which the summand contributes
-A q_j + alpha_j * (sum of flag traces) q_j = 0.  The reduction is unit-tested
-against a direct tensor expansion at small alpha.
+One equation builder serves every point.  Each summand q_j contributes
+A q_j + alpha_j * (sum of flag traces) q_j = 0.  On a point with flag levels
+the system is assembled by reduction: surviving flag summands force
+A f_k = 0, and any surviving summand forces every flag wedge to be an
+eigenvector of A, whose eigenvalues give the traces.  On a point with no flag
+levels there are no flag rows and every trace is 0, so the rows are the
+derivation images A q_j = 0.  The reduction is unit-tested against a direct
+tensor expansion at small alpha.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .exact import (Matrix, MultiVector, RowEchelon, SelfCheckError,
                     SparseMatrix, column_index, column_support, frac_str,
                     int_if_integral, leibniz, nullspace, wedge_apply)
 from .invars import subset_basis_indices
-from .points import WeightedPoint, flag_prefix_sums
+from .points import flag_prefix_sums
 from .rootsys import MatrixLieData, positive_roots, root_index
 from .subsets import ClosedSubset
 
@@ -52,13 +55,15 @@ class StabilizerReport:
         return out
 
 
-def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
-    """Rows of the linear system for a weighted point (or a limit of one),
-    one column per basis element given by its column support.  Integral
+def _equations(p: MultiVector, supports: Sequence[list]):
+    """Rows of the linear system for a point (or a limit of one), one column
+    per basis element given by its column support.  A point with no flag
+    levels gives only the derivation rows of its summands.  Integral
     coefficients stay int throughout."""
     rows: dict = {}
     index = column_index(supports, p.n)
-    live = [(s, _integral(s.comps)) for s in p.summands if not s.is_zero()]
+    live = [(idx, s, _integral(s.comps))
+            for idx, s in enumerate(p.summands) if not s.is_zero()]
     for k in range(1, p.levels + 1):
         if p.flag_coeffs[k - 1]:
             # surviving flag component: A f_k = 0
@@ -74,9 +79,11 @@ def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
             for t, c in image.items():
                 if kind == "flag" or t != ft:
                     rows.setdefault((kind, k, t), {})[r] = c
-    if live:
-        # sum of the flag eigenvalues, for the basis elements with diagonal
-        # entries; any other element has eigenvalue 0 on every flag wedge
+    # sum of the flag eigenvalues, for the basis elements with diagonal
+    # entries; any other element, and every element when there are no flag
+    # levels, has eigenvalue 0 on every flag wedge
+    traces: dict = {}
+    if live and p.levels:
         diagonals: dict = {}
         for j, col in enumerate(index, start=1):
             for r, i, a in col:
@@ -84,27 +91,16 @@ def _weighted_equations(p: WeightedPoint, supports: Sequence[list]):
                     diagonals.setdefault(r, {})[j] = a
         traces = {r: sum(flag_prefix_sums(diag, p.sigma, p.levels))
                   for r, diag in diagonals.items()}
-        for s, comps in live:
-            images = leibniz(index, comps)
-            for r, T in traces.items():
-                image = images.setdefault(r, {})
-                for t, c in comps.items():
-                    image[t] = image.get(t, 0) + s.alpha * T * c
-            for r, image in images.items():
-                for t, c in image.items():
-                    if c:
-                        rows.setdefault(("sum", s.label, t), {})[r] = c
-    return rows
-
-
-def _multivector_equations(p: MultiVector, supports: Sequence[list]):
-    rows: dict = {}
-    index = column_index(supports, p.n)
-    for idx, s in enumerate(p.summands):
-        if not s.is_zero():
-            for r, image in leibniz(index, _integral(s.comps)).items():
-                for t, c in image.items():
-                    rows.setdefault(("mv", idx, t), {})[r] = c
+    for idx, s, comps in live:
+        images = leibniz(index, comps)
+        for r, T in traces.items():
+            image = images.setdefault(r, {})
+            for t, c in comps.items():
+                image[t] = image.get(t, 0) + s.alpha * T * c
+        for r, image in images.items():
+            for t, c in image.items():
+                if c:
+                    rows.setdefault(("sum", idx, t), {})[r] = c
     return rows
 
 
@@ -123,38 +119,33 @@ def _combine(supports: Sequence[list], coeffs: Sequence, n: int) -> Matrix:
     return M
 
 
-def lie_stabilizer(p, algebra: MatrixLieData) -> StabilizerReport:
+def lie_stabilizer(p: MultiVector, algebra: MatrixLieData) -> StabilizerReport:
     """Solve A.p = 0 for A in the span of the algebra basis."""
-    if isinstance(p, MultiVector):
-        equations = _multivector_equations
-    elif isinstance(p, WeightedPoint):
-        equations = _weighted_equations
-    else:
-        raise StabilizerError(f"unsupported point type {type(p).__name__}")
     if p.n != algebra.n:
         raise StabilizerError("dimension mismatch")
     if p.is_zero():
         raise StabilizerError("point is zero")
     supports = algebra.supports
-    rows = equations(p, supports)
+    rows = _equations(p, supports)
     d = len(algebra.basis)
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], d)
     kernel = nullspace(matrix)
     basis = [_combine(supports, vec, algebra.n) for vec in kernel]
     # re-derive the equations from the reported matrices, one column each
-    if not _all_zero(equations(p, [column_support(M) for M in basis])):
+    if not _all_zero(_equations(p, [column_support(M) for M in basis])):
         raise SelfCheckError("reported basis element fails to annihilate")
     return StabilizerReport(dimension=len(basis), basis=basis, algebra_dim=d,
                             kernel=kernel)
 
 
-def annihilates(A: Matrix, p) -> bool:
-    """Exact check that the derivation action of A kills p."""
+def annihilates(A: Matrix, p: MultiVector) -> bool:
+    """Exact check that the derivation action of A kills p.  A point with no
+    flag levels is checked by `wedge_apply`, independently of `_equations`."""
     if len(A) != p.n or any(len(row) != p.n for row in A):
         raise ValueError(f"matrix must be {p.n} x {p.n} for this point")
-    if isinstance(p, MultiVector):
+    if not p.levels:
         return wedge_apply(A, p, mode="derivation").is_zero()
-    return _all_zero(_weighted_equations(p, [column_support(A)]))
+    return _all_zero(_equations(p, [column_support(A)]))
 
 
 def _all_zero(rows: dict) -> bool:

@@ -270,6 +270,24 @@ def test_point_weighted(capsys):
         "S_1": 1, "S_2": 7, "S_3": 45, "S_4": 363}
 
 
+def test_point_index_set(capsys):
+    code, out = _run_capture(capsys, ["point", "--n", "3", "--pairs", "1:2",
+                                      "--index-set", "3,1"])
+    assert code == EXIT_PASS
+    shape = json.loads(out)["results"]["point"]["shape"]
+    assert [s["label"] for s in shape] == ["S_1", "S_3"]
+
+
+def test_point_bad_index_set_refused(capsys):
+    # an empty index set used to be dropped for the default one, with exit 0
+    assert _exit_code(["point", "--n", "3", "--pairs", "1:2",
+                       "--index-set", ""]) == EXIT_USAGE
+    assert "cannot parse index set ''" in capsys.readouterr().err
+    assert _exit_code(["point", "--n", "3", "--pairs", "1:2",
+                       "--index-set", "1,x"]) == EXIT_USAGE
+    assert "cannot parse index set '1,x'" in capsys.readouterr().err
+
+
 def test_stab_so4(capsys):
     code, out = _run_capture(capsys, [
         "stab", "--family", "D", "--l", "2", "--roots", "L1-L2,L1+L2",

@@ -226,3 +226,24 @@ def test_interleaved_families_digest(capsys):
     assert len(commands) == 45
     assert _sweep_digest(capsys, commands) == (
         "66fc5137095dfdfcf6caaf3e88a45c1b995d1680e43cd4e6d1f0025a811f3754")
+
+
+def test_plain_point_sweep_digest(capsys):
+    """Plain `point` on every closed SL_4 set and every non-empty closed
+    rank-2 B/C/D root set: the `shape`/`components` schema of a point with
+    no flag levels."""
+    commands = [["point"] + args for args in _closed_sets(4)]
+    commands += [["point"] + args for _, args in _root_sets(2)]
+    assert len(commands) == 65
+    assert _sweep_digest(capsys, commands) == (
+        "899633717bef6bb6a43d05f8615cb65e5ff0b32f29b8f7354cd34b8938a62961")
+
+
+def test_plain_screen_sweep_digest(capsys):
+    """Plain `screen` at radius 2 on every closed SL_3 set: limits of points
+    with no flag levels and the stabilizers of those limits."""
+    commands = [["screen"] + args + ["--alpha", "none", "--radius", "2"]
+                for args in _closed_sets(3)]
+    assert len(commands) == 7
+    assert _sweep_digest(capsys, commands) == (
+        "925abcd268e27279eac2563a8e8cfc2a3393dae6b0a9fd168e508e1f757e8b9a")

@@ -11,7 +11,7 @@ from usinv.exact import MultiVector, identity
 from usinv.limits import (Cocharacter, LimitError, cochar_limit,
                           cocharacter_grid, exponent_lemma_check,
                           grosshans_screen, wedge_coefficient_check)
-from usinv.points import WeightedPoint, build_point
+from usinv.points import build_point
 from usinv.rootsys import lie_algebra
 from usinv.subsets import ClosedSubset, column_sets
 from helpers import minor, random_closed_pairs
@@ -31,6 +31,8 @@ def test_cocharacter_validation():
         Cocharacter("B", 2, (1, 0, -1, 0, 1))
     with pytest.raises(LimitError):
         Cocharacter("A", 1, (Fraction(1, 2), -Fraction(1, 2)))
+    with pytest.raises(LimitError, match="unsupported family"):
+        Cocharacter("Matrix", 3, (1, 0, -1))
 
 
 def test_unweighted_boundary_limit_value():
@@ -133,9 +135,9 @@ def _oracle_limit(p, w, u, uprime):
     """(kind, ledger, summand values, flag values) of the limit of
     (u.p).lambda(t).uprime, from the minors of u and uprime."""
     n = p.n
-    ledger, values, flags = {}, [], None
+    ledger, values, flags = {}, [], []
     shift = 0
-    if isinstance(p, WeightedPoint):
+    if p.levels:
         prefixes = list(itertools.accumulate(w[j - 1]
                                              for j in p.sigma[:p.levels]))
         shift = sum(prefixes)
@@ -184,7 +186,7 @@ def test_conjugated_limits_match_minor_oracle():
         lam = rng.choice(cocharacter_grid("A", n - 1, 2))
         for alpha in (None, "minimal"):
             p = build_point(S, "A", n - 1, alpha=alpha)
-            sigma = getattr(p, "sigma", tuple(range(1, n + 1)))
+            sigma = p.sigma or tuple(range(1, n + 1))
             u = _random_unitriangular(n, sigma, rng)
             uprime = _random_unitriangular(n, sigma, rng)
             out = cochar_limit(p, lam, u, uprime)
@@ -199,7 +201,7 @@ def test_conjugated_limits_match_minor_oracle():
             got = [(s.label, {t: c for t, c in s.comps.items() if c})
                    for s in out.value.summands]
             assert got == values, (S, lam)
-            assert getattr(out.value, "flag_coeffs", None) == flags
+            assert out.value.flag_coeffs == flags
     assert len(kinds) == 4
 
 

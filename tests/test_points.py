@@ -6,7 +6,7 @@ import pytest
 
 from usinv.exact import (GradedPoly, Q1, mat_is_zero, mat_mul,
                          mat_substitute, pvar, wedge_apply)
-from usinv.points import (PointError, WeightedPoint, alpha_valid, build_point,
+from usinv.points import (PointError, alpha_valid, build_point,
                           build_us, default_index_set, flag_levels,
                           minimal_alpha, so_parameter_property)
 from usinv.rootsys import (bilinear_form, lie_algebra, parse_root,
@@ -205,7 +205,6 @@ def test_alpha_valid_and_minimal():
 def test_weighted_point_structure():
     S = ClosedSubset(4, frozenset({(1, 3), (2, 4)}))
     p = build_point(S, "A", 3, alpha="minimal")
-    assert isinstance(p, WeightedPoint)
     assert p.levels == 4
     assert p.flag_coeffs == [Q1] * 4
     assert p.alphas() == {"S_1": 1, "S_2": 7, "S_3": 45, "S_4": 363}
@@ -226,7 +225,7 @@ def test_build_point_alpha_validation():
     with pytest.raises(PointError):
         build_point(S, "A", 2, alpha=(1, 0, 1))     # nonpositive
     p = build_point(S, "A", 2, alpha=(1, 1, 1))     # valid: positivity only
-    assert isinstance(p, WeightedPoint)
+    assert p.levels == 3
 
 
 def test_build_point_invalid_index_set():

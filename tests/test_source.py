@@ -1,9 +1,39 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "usinv"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "usinv"
+
+
+def minimum_python() -> tuple:
+    """(major, minor) of the `requires-python = ">=X.Y"` line of
+    pyproject.toml, read as text so no TOML parser is needed."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text,
+                      re.MULTILINE)
+    assert match, "pyproject.toml has no requires-python lower bound"
+    return int(match[1]), int(match[2])
+
+
+def test_package_parses_at_minimum_python():
+    """Every module is valid syntax for the oldest Python the package
+    claims to support, so syntax newer than that fails here."""
+    version = minimum_python()
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=version)
+
+
+def test_minimum_python_check_catches_newer_syntax():
+    # except* (PEP 654) is Python 3.11 syntax
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=(3, 10))
 
 
 def _annotations(tree):
