@@ -132,8 +132,7 @@ def _resolve_subset(args) -> tuple:
     return closed_subset_from_roots(family, rank, roots), family, rank
 
 
-def _alpha_arg(args):
-    text = getattr(args, "weighted", None) or getattr(args, "alpha", None)
+def _alpha_arg(text):
     if text is None or text == "none":
         return None
     if text == "minimal":
@@ -242,7 +241,7 @@ def _cmd_closed(args) -> tuple:
 
 def _cmd_point(args) -> tuple:
     subset, family, rank = _resolve_subset(args)
-    alpha = _alpha_arg(args)
+    alpha = _alpha_arg(args.weighted)
     index_set = None
     if args.index_set is not None:
         index_set = parse_weights(args.index_set, "index set")
@@ -262,7 +261,7 @@ def _cmd_point(args) -> tuple:
 
 def _cmd_stab(args) -> tuple:
     subset, family, rank = _resolve_subset(args)
-    alpha = _alpha_arg(args)
+    alpha = _alpha_arg(args.weighted)
     point = build_point(subset, family, rank, alpha=alpha)
     algebra = lie_algebra(family, rank)
     report = lie_stabilizer(point, algebra)
@@ -302,7 +301,7 @@ def _cmd_generation(args) -> tuple:
 
 def _cmd_limit(args) -> tuple:
     subset, family, rank = _resolve_subset(args)
-    alpha = _alpha_arg(args)
+    alpha = _alpha_arg(args.weighted)
     point = build_point(subset, family, rank, alpha=alpha)
     lam = Cocharacter(family, rank, parse_weights(args.cochar))
     outcome = cochar_limit(point, lam)
@@ -316,7 +315,7 @@ def _cmd_limit(args) -> tuple:
 
 def _cmd_screen(args) -> tuple:
     subset, family, rank = _resolve_subset(args)
-    alpha = _alpha_arg(args)
+    alpha = _alpha_arg(args.alpha)
     report = grosshans_screen(subset, family, rank, alpha, args.radius)
     results = {
         "subset": subset.to_json(),

@@ -14,10 +14,9 @@ division goes through `Fraction`, so no floating point arises anywhere.
 Callers with integral input, such as the invariant equations, assemble their
 matrices in `int`.  `nullspace` first presolves: a row with one entry forces
 its column to 0 in every kernel vector, so the column is dropped from every
-other row, to a fixed point.  What is left is split into blocks of columns
-that share rows, each eliminated in a `RowEchelon` of its own; the forced
-columns' unit rows and the merged pivots are the unique reduced echelon form
-of the whole matrix.
+other row, to a fixed point.  What is left is eliminated in one
+`RowEchelon`; the forced columns' unit rows and its pivots are the unique
+reduced echelon form of the whole matrix.
 
 Wedge tuples are strictly increasing and 1-based.  A Leibniz term replaces
 one factor of a sorted tuple, so its sign comes from the position where the
@@ -406,10 +405,13 @@ def wedge_apply(A: Matrix, v: MultiVector, mode: str = "group") -> MultiVector:
     Group mode sends a pure wedge e_{i1} ^ ... ^ e_{ik} to the wedge of the
     columns of A at those indices; derivation mode applies the Leibniz rule
     one factor at a time.  Results are re-sorted to strictly increasing
-    tuples with signs.
+    tuples with signs.  A point with flag levels is refused: its flag part
+    and alpha powers would be dropped from the image.
     """
     if len(A) != v.n or any(len(row) != v.n for row in A):
         raise ValueError(f"matrix must be {v.n} x {v.n} for this multivector")
+    if v.levels:
+        raise ValueError("wedge_apply takes a point with no flag levels")
     support = column_support(A)
     if mode == "group":
         images = [apply_group(support, s.comps) for s in v.summands]
@@ -600,12 +602,12 @@ def nullspace(m: SparseMatrix) -> list[list["int | Fraction"]]:
     0 at every forced column, so they are the reduced echelon form of the
     rows left over.
 
-    Columns that share a row left over are joined into blocks by
-    union-find, and each block's rows are reduced in a `RowEchelon` of
-    their own, so no row is ever cleared against a pivot of another block.
-    The unit rows and the merged pivots are the reduced row echelon form of
-    the whole matrix, which is unique, so the basis is the same as for one
-    elimination of all rows.
+    The rows left over go into one `RowEchelon`.  Rows whose column sets
+    are disjoint never touch each other there: clearing a pivot key from a
+    row that lacks it changes nothing, so splitting the rows into blocks of
+    columns that share a row would give the same pivots.  The unit rows and
+    those pivots are the reduced row echelon form of the whole matrix, which
+    is unique, so the basis is the same as for one elimination of all rows.
 
     Each free column f yields one basis vector with 1 at f, 0 at every other
     free column and -pivots[p][f] at each pivot column p.  The pivot columns
@@ -630,30 +632,11 @@ def nullspace(m: SparseMatrix) -> list[list["int | Fraction"]]:
                 if row:
                     rest.append(row)
         rows = rest
-    parent = list(range(m.cols))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
+    ech = RowEchelon()
     for row in rows:
-        it = iter(row)
-        a = find(next(it))
-        for c in it:
-            b = find(c)
-            if a != b:
-                parent[b] = a
-    blocks: dict = {}
-    for row in rows:
-        key = find(next(iter(row)))
-        ech = blocks.get(key)
-        if ech is None:
-            ech = blocks[key] = RowEchelon()
         ech.add(row)
     pivots: dict = {c: {c: 1} for c in forced}
-    for ech in blocks.values():
-        pivots.update(ech.pivots)
+    pivots.update(ech.pivots)
     basis = {f: [Q0] * m.cols for f in range(m.cols) if f not in pivots}
     for f, vec in basis.items():
         vec[f] = 1

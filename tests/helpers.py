@@ -4,8 +4,8 @@ GL_n dimensions by the hook content formula, and a direct tensor expansion
 of weighted points.
 
 These deliberately avoid the production code paths they are used to check;
-the one exception, `whole_matrix_nullspace`, keeps the single-`RowEchelon`
-path that `exact.nullspace` replaced, to check its block split.
+the one exception, `whole_matrix_nullspace`, eliminates every row in one
+`RowEchelon`, to check the singleton-row presolve of `exact.nullspace`.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def dense_kernel(rows, ncols):
 
 def whole_matrix_nullspace(m):
     """Kernel basis of a SparseMatrix with all of its rows in one
-    RowEchelon, with neither the singleton-row presolve nor the block split
-    of `exact.nullspace`; an oracle for those two steps only."""
+    RowEchelon, without the singleton-row presolve of `exact.nullspace`; an
+    oracle for that presolve only."""
     rows = [{} for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v

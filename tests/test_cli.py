@@ -270,6 +270,16 @@ def test_point_weighted(capsys):
         "S_1": 1, "S_2": 7, "S_3": 45, "S_4": 363}
 
 
+@pytest.mark.parametrize("command", [
+    ["point"], ["stab"], ["limit", "--cochar", "1,0,-1"]])
+def test_empty_weighted_refused(command, capsys):
+    # an empty --weighted used to fall through to --alpha and build a plain
+    # point with exit 0 (exit 1 for limit), as `--weighted none` does
+    assert _exit_code(command + ["--n", "3", "--pairs", "1:2",
+                                 "--weighted", ""]) == EXIT_USAGE
+    assert "cannot parse alpha ''" in capsys.readouterr().err
+
+
 def test_point_index_set(capsys):
     code, out = _run_capture(capsys, ["point", "--n", "3", "--pairs", "1:2",
                                       "--index-set", "3,1"])
@@ -443,6 +453,13 @@ def test_invariants_degree_zero_refused(capsys):
     assert _exit_code(["invariants", "--n", "3", "--pairs", "1:2",
                        "--degree", "0"]) == EXIT_USAGE
     assert "degree" in capsys.readouterr().err
+
+
+def test_invariants_non_closed_set_refused(capsys):
+    # used to exit 0 and report the non-closed pair set as its subset
+    assert _exit_code(["invariants", "--n", "4", "--pairs", "1:2,2:3",
+                       "--degree", "1"]) == EXIT_USAGE
+    assert "not transitively closed" in capsys.readouterr().err
 
 
 def test_check_generation_degree_zero_refused(capsys):

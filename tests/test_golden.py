@@ -183,14 +183,20 @@ def test_stab_sweep_digest(capsys):
 
 
 def test_invariants_sweep_digest(capsys):
-    """Every closed SL_4 set at degree 2 and every closed SL_3 set at degree
-    3: the invariant equations, their elimination and the kernel basis order
-    for each pattern of blocks these sets give."""
+    """Every closed SL_4 set at degrees 2 and 3 and every closed SL_3 set at
+    degree 3: the invariant equations, their elimination and the kernel
+    basis order.  At SL_4 degree 3 the rows the presolve leaves fall into
+    several blocks of columns that share no row for all but two sets."""
     commands = [["invariants"] + args + ["--degree", "2"]
                 for args in _closed_sets(4)]
     assert len(commands) == 40
     assert _sweep_digest(capsys, commands) == (
         "bc2dd53087c9392ef64e4f9c1867801e8f8d53c10135ede9d5f76d3b2a5895c7")
+    commands = [["invariants"] + args + ["--degree", "3"]
+                for args in _closed_sets(4)]
+    assert len(commands) == 40
+    assert _sweep_digest(capsys, commands) == (
+        "0defaa1e8e254f81100fd172757db6e62e0ec934c2d6b2ecd1980ba4ccadf48e")
     commands = [["invariants"] + args + ["--degree", "3"]
                 for args in _closed_sets(3)]
     assert len(commands) == 7
