@@ -474,6 +474,96 @@ def _forced_columns(M, cols):
         forced |= new
 
 
+def _row_blocks(M, cols):
+    """Blocks of columns joined by a shared nonzero row, only where they
+    hold a nonzero row: a breadth-first search."""
+    seen, blocks = set(), []
+    for start in range(cols):
+        if start in seen or not any(row[start] for row in M):
+            continue
+        block, todo = {start}, [start]
+        seen.add(start)
+        while todo:
+            c = todo.pop()
+            for row in M:
+                if row[c]:
+                    for c2, x in enumerate(row):
+                        if x and c2 not in seen:
+                            seen.add(c2)
+                            block.add(c2)
+                            todo.append(c2)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _left_after_forcing(M, cols):
+    """The rows of M with every forced column set to 0."""
+    forced = _forced_columns(M, cols)
+    return [[Q0 if c in forced else x for c, x in enumerate(row)]
+            for row in M]
+
+
+def _blockwise_nullspace(M, cols):
+    """Kernel basis of dense rows built one block of columns at a time:
+    each block's rows are eliminated alone and its basis vectors are put
+    back at the block's columns; a column in no nonzero row is free."""
+    by_free = {c: [Q1 if d == c else Q0 for d in range(cols)]
+               for c in range(cols) if not any(row[c] for row in M)}
+    for block in _row_blocks(M, cols):
+        sub = [[row[c] for c in block] for row in M
+               if any(row[c] for c in block)]
+        pivots = {next(i for i, x in enumerate(r) if x)
+                  for r in dense_rref(sub)}
+        free = [block[i] for i in range(len(block)) if i not in pivots]
+        basis = nullspace(_sparse(sub, len(block)))
+        assert len(basis) == len(free)
+        for f, v in zip(free, basis):
+            vec = [Q0] * cols
+            for i, x in enumerate(v):
+                vec[block[i]] = x
+            by_free[f] = vec
+    return [by_free[f] for f in sorted(by_free)]
+
+
+def _counted_nullspace(monkeypatch, m):
+    """nullspace(m) and the number of RowEchelon instances it made."""
+    made = []
+
+    class Counted(RowEchelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr("usinv.exact.RowEchelon", Counted)
+    try:
+        basis = nullspace(m)
+    finally:
+        monkeypatch.undo()
+    return basis, len(made)
+
+
+def test_nullspace_block_split_matches_whole_matrix(monkeypatch):
+    """The rows left over by the presolve go into one RowEchelon, and the
+    basis is exactly the one got by eliminating each block of columns that
+    share a row alone, of a single elimination of all rows, and of the
+    dense textbook elimination."""
+    rng = random.Random(23)
+    split = 0
+    for _ in range(100):
+        M, cols = _direct_sum(rng)
+        m = _sparse(M, cols)
+        basis, made = _counted_nullspace(monkeypatch, m)
+        blocks = len(_row_blocks(_left_after_forcing(M, cols), cols))
+        assert made == 1
+        split += blocks > 1
+        assert basis == _blockwise_nullspace(M, cols)
+        assert basis == whole_matrix_nullspace(m) == dense_kernel(M, cols)
+        assert len(basis) == dense_nullity(M, cols)
+        assert all(_exact_entries(v) for v in basis)
+        _check_kernel(M, cols, basis)
+    assert split > 10
+
+
 def _value(rng):
     """A nonzero entry: a unit, a non-unit int or a Fraction."""
     return rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
@@ -504,10 +594,9 @@ def _presolve_case(rng):
 
 def test_nullspace_presolve_sweep():
     """Forced columns, chains of rows that become singletons only once
-    another column is forced, rows left empty, forced columns inside longer
-    rows, and direct sums of blocks of columns that share no row all give
-    the canonical basis of the whole-matrix and dense eliminations, with 0
-    at every forced column."""
+    another column is forced, rows left empty and forced columns inside
+    longer rows all give the canonical basis of the whole-matrix and dense
+    eliminations, with 0 at every forced column."""
     rng = random.Random(31)
     cases = [_presolve_case(rng) for _ in range(150)]
     for _ in range(150):
@@ -519,8 +608,6 @@ def test_nullspace_presolve_sweep():
             for c in rng.sample(range(cols), width):
                 row[c] = _value(rng)
         cases.append((M, cols))
-    rng = random.Random(23)
-    cases += [_direct_sum(rng) for _ in range(100)]
     # all singletons, duplicates among them, and one column left free
     cases.append(([[Q0, 2, Q0, Q0], [Fraction(1, 3), Q0, Q0, Q0],
                    [Q0, Q0, Q0, -1], [Q0, Fraction(-7, 2), Q0, Q0]], 4))
