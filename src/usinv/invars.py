@@ -19,7 +19,7 @@ from .exact import (GradedPoly, Matrix, Q1, RowEchelon, SelfCheckError,
                     SparseMatrix, column_support, mono_mul, nullspace,
                     sort_wedge, xvar)
 from .rootsys import Root, lie_algebra, root_index
-from .subsets import ClosedSubset, ColumnFamily, column_sets, is_closed
+from .subsets import ClosedSubset, ColumnFamily, column_sets
 
 
 class InvariantError(ValueError):
@@ -209,8 +209,7 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
     """
     if d < 1:
         raise InvariantError("degree must be positive")
-    if family == "A" and not is_closed(subset.n, subset.pairs):
-        raise InvariantError("subset is not transitively closed")
+    column_sets(subset, family, rank)  # the subset checks every command makes
     check_monomial_cap(subset.n, d)
     monos = degree_monomials(subset.n, d)
     indices = subset_basis_indices(subset, family, rank)

@@ -6,7 +6,8 @@ direct sum of the wedges of the column sets S_j; the weighted point
 p_{S,alpha} is the same sum with flag levels added and each summand tagged
 with its power alpha_j of the flag tensor.  Tensor powers of the flag tensor
 are never materialized: all downstream computations use the
-Leibniz/eigenvector structure on pure tensors.
+Leibniz/eigenvector structure on pure tensors.  A point's default index set,
+flag order sigma and flag levels come from its family and rank alone.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Mapping, Optional, Sequence
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
                     exp_nilpotent, frac_str, mat_mul, mat_substitute, pvar)
 from .invars import subset_roots
-from .rootsys import (MatrixLieData, ambient_dim, find_generating_subsets,
-                      flag_permutation, lie_algebra, root_index)
+from .rootsys import ambient_dim, flag_permutation, lie_algebra, root_index
 from .subsets import ClosedSubset, ColumnFamily, column_sets, is_closed
 
 
@@ -75,9 +75,6 @@ class UnipotentPattern:
 
 def build_us(subset: ClosedSubset, family: str, rank: int) -> UnipotentPattern:
     """The symbolic chart of U_S as a product of exponentials over S."""
-    if family == "Matrix":
-        raise PointError("generic presentations have no exponential chart; "
-                         "supply the group through MatrixLieData instead")
     if family == "A" and not is_closed(subset.n, subset.pairs):
         raise PointError("subset is not transitively closed")
     cols = column_sets(subset, family, rank)
@@ -126,31 +123,16 @@ def so_parameter_property(u: UnipotentPattern) -> bool:
     return not any(M[i - 1][j - 1] for (i, j) in special)
 
 
-def default_index_set(family: str, rank: int,
-                      data: Optional[MatrixLieData] = None) -> tuple:
-    """A -> all columns; B/C/D -> the last n-l columns; generic -> the
-    canonical minimal generating subset (a convention, flagged in output)."""
-    n = ambient_dim(family, rank) if family != "Matrix" else data.n
-    if family == "A":
-        return tuple(range(1, n + 1))
-    if family in ("B", "C", "D"):
-        return tuple(range(rank + 1, n + 1))
-    if data is None:
-        raise PointError("Matrix family needs MatrixLieData")
-    _, canonical = find_generating_subsets(data)
-    return tuple(sorted(canonical))
+def default_index_set(family: str, rank: int) -> tuple:
+    """A -> all columns; B/C/D -> the last n-l columns."""
+    n = ambient_dim(family, rank)
+    return tuple(range(1 if family == "A" else rank + 1, n + 1))
 
 
-def flag_levels(family: str, rank: int, n: Optional[int] = None) -> int:
-    """Number of flag summands in the extra term: n for A and generic
-    presentations, l for B/C/D."""
-    if family in ("B", "C", "D"):
-        return rank
-    if family == "A":
-        return ambient_dim(family, rank)
-    if n is None:
-        raise PointError("generic presentations need the ambient dimension")
-    return n
+def flag_levels(family: str, rank: int) -> int:
+    """Number of flag summands in the extra term: n for A, l for B/C/D."""
+    n = ambient_dim(family, rank)
+    return n if family == "A" else rank
 
 
 def flag_prefix_sums(diagonal: Mapping, sigma: tuple, levels: int) -> list:
@@ -207,8 +189,7 @@ def minimal_alpha(n: int, sigma: Optional[tuple] = None,
 
 def build_point(subset: ClosedSubset, family: str, rank: int,
                 index_set: Optional[Sequence[int]] = None,
-                alpha: "str | Sequence[int] | None" = None,
-                data: Optional[MatrixLieData] = None):
+                alpha: "str | Sequence[int] | None" = None):
     """p_S (alpha None), with no flag levels, or the weighted point
     p_{S,alpha}, with the flag levels of the family and sigma.
 
@@ -219,7 +200,7 @@ def build_point(subset: ClosedSubset, family: str, rank: int,
     n = subset.n
     cols = column_sets(subset, family, rank)
     if index_set is None:
-        index_set = default_index_set(family, rank, data)
+        index_set = default_index_set(family, rank)
     index_set = tuple(index_set)
     if not index_set or any(not 1 <= j <= n for j in index_set):
         raise PointError(f"invalid index set {index_set}")
@@ -229,9 +210,8 @@ def build_point(subset: ClosedSubset, family: str, rank: int,
         parts = [(tuple(sorted(cols[j])), f"S_{j}") for j in sorted(index_set)]
         return MultiVector.pure(n, parts)
 
-    sigma = flag_permutation(family, rank) if family != "Matrix" else (
-        data.sigma if data is not None else tuple(range(1, n + 1)))
-    levels = flag_levels(family, rank, n)
+    sigma = flag_permutation(family, rank)
+    levels = flag_levels(family, rank)
     if isinstance(alpha, str):
         if alpha != "minimal":
             raise PointError(f"unknown alpha policy {alpha!r}")

@@ -1,5 +1,7 @@
-"""Root-system data and concrete matrix realizations for types A, B, C, D,
-plus generic matrix-presented Lie algebra data.
+"""Root-system data and concrete matrix realizations for types A, B, C, D.
+
+Each family's Lie algebra is a MatrixLieData, a matrix basis validated once;
+`stab.lie_stabilizer` takes any validated presentation, not only these.
 
 Conventions (fixed so that the worked examples are exact test vectors):
 the bilinear form pairs e_i with e_{l+i} — symmetric for B/D (plus
@@ -262,20 +264,16 @@ class MatrixLieData:
     """A Lie algebra presented by a matrix basis.
 
     basis spans the algebra; torus_basis is the diagonal part; form is the
-    invariant bilinear form when one exists; sigma orders a flag preserved
-    by the upper Borel of the presentation.  supports holds the
+    invariant bilinear form when one exists.  supports holds the
     column_support of each basis element, computed once here.
     """
     n: int
     basis: tuple
     torus_basis: tuple
     form: Optional[Matrix] = None
-    sigma: tuple = ()
     supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.sigma:
-            object.__setattr__(self, "sigma", tuple(range(1, self.n + 1)))
         named = [(f"basis element {k}", B) for k, B in enumerate(self.basis)]
         named += [(f"torus basis element {k}", T)
                   for k, T in enumerate(self.torus_basis)]
@@ -335,8 +333,7 @@ def lie_algebra(family: str, rank: int) -> MatrixLieData:
         basis.append(root_subgroup_matrix(family, rank, root))
         basis.append(root_subgroup_matrix(family, rank, -root))
     return MatrixLieData(n=n, basis=tuple(basis), torus_basis=torus,
-                         form=bilinear_form(family, rank),
-                         sigma=flag_permutation(family, rank))
+                         form=bilinear_form(family, rank))
 
 
 @functools.cache
@@ -350,48 +347,6 @@ def root_index(family: str, rank: int, root: Root) -> int:
     if -root in roots:
         return rank + 2 * roots.index(-root) + 1
     raise RootSystemError(f"{root.name()} is not a root of {family}{rank}")
-
-
-def entry_functionals(data: MatrixLieData) -> dict:
-    """Map (i, j) 1-based -> vector of entry values over the basis."""
-    out = {}
-    for i in range(1, data.n + 1):
-        for j in range(1, data.n + 1):
-            vec = {k: B[i - 1][j - 1] for k, B in enumerate(data.basis)
-                   if B[i - 1][j - 1]}
-            out[(i, j)] = vec
-    return out
-
-
-def find_generating_subsets(data: MatrixLieData):
-    """All inclusion-minimal column subsets whose entry functionals span the
-    space spanned by all entry functionals, plus the canonical (least) one."""
-    if not data.basis:
-        raise RootSystemError("empty basis")
-    funcs = entry_functionals(data)
-    full = RowEchelon()
-    for vec in funcs.values():
-        full.add(vec)
-    full_rank = full.rank
-
-    def col_rank(cols):
-        ech = RowEchelon()
-        for j in cols:
-            for i in range(1, data.n + 1):
-                ech.add(funcs[(i, j)])
-        return ech.rank
-
-    minimal = []
-    for size in range(1, data.n + 1):
-        for cols in itertools.combinations(range(1, data.n + 1), size):
-            cset = frozenset(cols)
-            if any(m <= cset for m in minimal):
-                continue
-            if col_rank(cols) == full_rank:
-                minimal.append(cset)
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
-    canonical = min(minimal, key=lambda s: (len(s), sorted(s)))
-    return minimal, canonical
 
 
 def root_system_to_json(system: RootSystem) -> dict:

@@ -9,10 +9,12 @@ matrices.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .rootsys import Root, ambient_dim, lie_algebra, root_index
+from .rootsys import (Root, ambient_dim, lie_algebra, positive_roots,
+                      root_index)
 
 
 class SubsetError(ValueError):
@@ -32,8 +34,8 @@ def _check_pairs(n: int, pairs: Iterable[tuple]) -> frozenset:
 
 @dataclass(frozen=True)
 class ClosedSubset:
-    """A set of ordered index pairs (i, j), optionally remembering the roots
-    of B/C/D or a generic presentation it came from."""
+    """A set of ordered index pairs (i, j), optionally remembering the B/C/D
+    roots it came from."""
     n: int
     pairs: frozenset
     source_roots: Optional[tuple] = None
@@ -107,18 +109,19 @@ def closed_subset_from_roots(family: str, rank: int,
 def root_closure(roots: Sequence[Root], positive: Sequence[Root]) -> tuple:
     """Smallest superset of roots closed inside a root system: every sum of
     two members that is a positive root is a member.  The given roots come
-    first, then the added ones in the order of positive."""
-    pos = set(positive)
-    closed = set(roots)
+    first, then the added ones in the order of positive.  Sums are taken on
+    coefficient vectors, so no Root is built for a sum that is not one."""
+    pos = {r.coeffs: r for r in positive}
+    given = {r.coeffs for r in roots}
+    closed = set(given)
     while True:
-        sums = {Root(s) for a, b in itertools.combinations(closed, 2)
-                for s in [tuple(x + y for x, y in zip(a.coeffs, b.coeffs))]
-                if any(s)} & pos
-        if sums <= closed:
+        new = {tuple(map(operator.add, a, b))
+               for a, b in itertools.combinations(closed, 2)} & pos.keys()
+        if new <= closed:
             break
-        closed |= sums
-    return tuple(roots) + tuple(r for r in positive
-                                if r in closed and r not in roots)
+        closed |= new
+    return tuple(roots) + tuple(r for c, r in pos.items()
+                                if c in closed and c not in given)
 
 
 @dataclass(frozen=True)
@@ -152,15 +155,15 @@ class ColumnFamily:
 def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
     """S_j = {j} plus the rows that can be nonzero in column j of U_S.
 
-    Type A uses the pairs directly (the subset must be closed); B/C/D and
-    generic presentations apply the transitive closure of the induced pair
-    relations first.
+    Every command checks its subset here: n must match the family, type A
+    pairs must respect the flag order and be closed, and B/C/D roots must be
+    closed in the root system.  B/C/D then apply the transitive closure of
+    the induced pair relations.
     """
-    if family != "Matrix":
-        n = ambient_dim(family, rank)
-        if n != subset.n:
-            raise SubsetError(f"family {family} rank {rank} has n={n}, "
-                              f"subset has n={subset.n}")
+    n = ambient_dim(family, rank)
+    if n != subset.n:
+        raise SubsetError(f"family {family} rank {rank} has n={n}, "
+                          f"subset has n={subset.n}")
     if family == "A":
         if any(i > j for (i, j) in subset.pairs):
             raise SubsetError("type A pairs must respect the flag order i < j")
@@ -168,6 +171,10 @@ def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
             raise SubsetError("subset is not transitively closed")
         pairs = subset.pairs
     else:
+        roots = subset.source_roots
+        if roots is not None and root_closure(
+                roots, positive_roots(family, rank).positive_roots) != roots:
+            raise SubsetError("root set is not closed")
         pairs = transitive_closure(subset.n, subset.pairs).pairs
     sets = []
     for j in range(1, subset.n + 1):

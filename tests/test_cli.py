@@ -456,10 +456,36 @@ def test_invariants_degree_zero_refused(capsys):
 
 
 def test_invariants_non_closed_set_refused(capsys):
-    # used to exit 0 and report the non-closed pair set as its subset
-    assert _exit_code(["invariants", "--n", "4", "--pairs", "1:2,2:3",
-                       "--degree", "1"]) == EXIT_USAGE
-    assert "not transitively closed" in capsys.readouterr().err
+    """A non-closed subset, or type A pairs against the flag order, exit 3
+    in every command that builds on the subset, with the message of the one
+    check they all share; closed check reports a non-closed set with exit 1.
+    invariants used to exit 0 on 2:1 and on 1:2,2:3 (with the non-closed set
+    as its subset), and every command but stab on the B/C sets, where stab
+    exited 1, although L1-L2 + L2 = L1 and L1-L2 + 2L2 = L1+L2 are positive
+    roots outside them."""
+    table = [
+        # (subset flags, cocharacter for limit, closed?, message)
+        ("--n 4 --pairs 1:2,2:3", "1,0,-1,0", False, "not transitively closed"),
+        ("--n 3 --pairs 2:1", "1,0,-1", True, "flag order"),
+        ("--family B --l 2 --roots L1-L2,L2", "1,0,-1,0,0", False,
+         "root set is not closed"),
+        ("--family C --l 2 --roots L1-L2,2L2", "1,0,-1,0", False,
+         "root set is not closed"),
+    ]
+    for flags, cochar, closed, message in table:
+        commands = ["point", "point --weighted minimal", "stab",
+                    "stab --weighted minimal", f"limit --cochar {cochar}",
+                    "screen --radius 1", "invariants --degree 1"]
+        if flags.startswith("--n"):
+            commands.append("check-generation --degree 1")
+        for command in commands:
+            name, *extra = command.split()
+            argv = [name] + flags.split() + extra
+            assert _exit_code(argv) == EXIT_USAGE, argv
+            assert message in capsys.readouterr().err, argv
+        if not closed:
+            argv = ["closed", "check"] + flags.split()
+            assert _exit_code(argv) == EXIT_FAIL, argv
 
 
 def test_check_generation_degree_zero_refused(capsys):
@@ -555,7 +581,8 @@ def test_shared_lie_algebras_are_not_mutated(capsys):
         "screen --n 4 --pairs 1:2,3:4 --alpha minimal --radius 2",
         "limit --pairs corpus:so4-borel --cochar 1,0,-1,0 --weighted minimal",
         "stab --family B --l 3 --roots L1+L2,L1+L3,L1,L1-L3 --weighted minimal",
-        "screen --family C --l 2 --roots L1-L2,2L2 --alpha minimal --radius 1",
+        "screen --family C --l 2 --roots L1-L2,2L2,L1+L2,2L1 --alpha minimal "
+        "--radius 1",
         "stab --pairs corpus:so4-borel",
         "stab --n 4 --pairs 1:3,2:4",
         "point --pairs corpus:sp4-closed --weighted minimal",

@@ -650,7 +650,7 @@ def test_stabilizer_of_scaled_basis_spans_the_same_algebra():
                 scaled = MatrixLieData(
                     algebra.n, tuple(mat_scale(B, scale) for B in algebra.basis),
                     tuple(mat_scale(T, scale) for T in algebra.torus_basis),
-                    algebra.form, algebra.sigma)
+                    algebra.form)
                 report = lie_stabilizer(p, scaled)
                 assert report.dimension == reference.dimension
                 assert spans_equal([_flatten(M) for M in report.basis],

@@ -235,14 +235,18 @@ def test_interleaved_families_digest(capsys):
 
 
 def test_plain_point_sweep_digest(capsys):
-    """Plain `point` on every closed SL_4 set and every non-empty closed
-    rank-2 B/C/D root set: the `shape`/`components` schema of a point with
-    no flag levels."""
-    commands = [["point"] + args for args in _closed_sets(4)]
-    commands += [["point"] + args for _, args in _root_sets(2)]
+    """`point` on every closed SL_4 set and every non-empty closed rank-2
+    B/C/D root set: plain, the `shape`/`components` schema of a point with
+    no flag levels; weighted, the `sigma`, `flag_levels` and `alpha` each
+    family gives its point."""
+    sets = _closed_sets(4) + [args for _, args in _root_sets(2)]
+    commands = [["point"] + args for args in sets]
     assert len(commands) == 65
     assert _sweep_digest(capsys, commands) == (
         "899633717bef6bb6a43d05f8615cb65e5ff0b32f29b8f7354cd34b8938a62961")
+    commands = [["point"] + args + ["--weighted", "minimal"] for args in sets]
+    assert _sweep_digest(capsys, commands) == (
+        "98af062d7fbf9312b4702fbf3494f22fd3bbcf53e24f6b8ee9c51192bf437137")
 
 
 def test_plain_screen_sweep_digest(capsys):

@@ -180,8 +180,6 @@ def test_default_index_sets():
     assert default_index_set("A", 3) == (1, 2, 3, 4)
     assert default_index_set("D", 2) == (3, 4)
     assert default_index_set("B", 2) == (3, 4, 5)
-    data = lie_algebra("D", 2)
-    assert default_index_set("Matrix", 0, data) == (1, 2, 3)
 
 
 def test_flag_levels_family_dependence():

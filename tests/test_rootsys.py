@@ -1,4 +1,4 @@
-"""Root systems, matrix realizations, and generating subsets."""
+"""Root systems and matrix realizations."""
 
 import pytest
 from fractions import Fraction
@@ -7,7 +7,7 @@ from usinv.exact import (column_support, eij, exp_nilpotent, mat_add,
                          mat_is_zero, mat_mul, mat_scale, zeros)
 from usinv.rootsys import (MatrixLieData, Root, RootSystemError,
                            bilinear_form,
-                           find_generating_subsets, flag_permutation,
+                           flag_permutation,
                            lie_algebra, parse_root, positive_roots,
                            root_index, root_subgroup_matrix,
                            root_system_to_json)
@@ -216,8 +216,7 @@ def test_matrix_lie_data_validates():
     data = lie_algebra("D", 2)
     with pytest.raises(RootSystemError):
         MatrixLieData(n=4, basis=data.basis + (data.basis[0],),
-                      torus_basis=data.torus_basis, form=data.form,
-                      sigma=data.sigma)
+                      torus_basis=data.torus_basis, form=data.form)
 
 
 def test_matrix_lie_data_rejects_dependent_and_form_incompatible_bases():
@@ -228,8 +227,7 @@ def test_matrix_lie_data_rejects_dependent_and_form_incompatible_bases():
                                                      Fraction(-2, 3)))
         with pytest.raises(RootSystemError, match="linearly dependent"):
             MatrixLieData(n=n, basis=data.basis + (dependent,),
-                          torus_basis=data.torus_basis, form=data.form,
-                          sigma=data.sigma)
+                          torus_basis=data.torus_basis, form=data.form)
         # E_11 - 2 E_{l+1,l+1} is diagonal and independent of the algebra,
         # but not skew for the form; so is a two-entry root vector with one
         # sign flipped
@@ -247,25 +245,7 @@ def test_matrix_lie_data_rejects_dependent_and_form_incompatible_bases():
             with pytest.raises(RootSystemError, match=f"basis element {k} is "
                                "not compatible with the form"):
                 MatrixLieData(n=n, basis=tuple(basis),
-                              torus_basis=data.torus_basis, form=data.form,
-                              sigma=data.sigma)
-
-
-def test_generating_subsets_sl():
-    for rank in (1, 2, 3):
-        minimal, canonical = find_generating_subsets(lie_algebra("A", rank))
-        n = rank + 1
-        assert minimal == [frozenset(range(1, n + 1))]
-        assert canonical == frozenset(range(1, n + 1))
-
-
-def test_generating_subsets_so4():
-    # columns {3,4} miss the negative-sum root entry, which lives in
-    # columns 1..l; the minimal generating subsets are the four 3-subsets
-    minimal, canonical = find_generating_subsets(lie_algebra("D", 2))
-    assert sorted(sorted(m) for m in minimal) == [
-        [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
-    assert canonical == frozenset({1, 2, 3})
+                              torus_basis=data.torus_basis, form=data.form)
 
 
 def test_root_system_json():
