@@ -28,9 +28,8 @@ from .points import build_point, build_us
 from .rootsys import (ambient_dim, lie_algebra, parse_root, positive_roots,
                       root_system_to_json)
 from .stab import compare_uS, lie_stabilizer
-from .subsets import (ClosedSubset, closed_subset_from_roots, column_sets,
-                      enumerate_closed, is_closed, root_closure,
-                      transitive_closure)
+from .subsets import (ClosedSubset, closed_subset_from_roots, closure,
+                      column_sets, enumerate_closed)
 
 SCHEMA = "usinv-report/1"
 
@@ -215,24 +214,13 @@ def build_parser() -> _Parser:
 def _cmd_closed(args) -> tuple:
     if args.subcommand == "check":
         subset, family, rank = _resolve_subset(args)
-        if subset.source_roots is None:
-            closed = is_closed(subset.n, subset.pairs)
-        else:
-            # the induced pairs are saturated already; test the roots
-            positive = positive_roots(family, rank).positive_roots
-            roots = root_closure(subset.source_roots, positive)
-            closed = roots == subset.source_roots
-        results = {"closed": closed,
-                   "subset": subset.to_json()}
-        if closed:
-            results["column_sets"] = column_sets(subset, family, rank).to_json()
-        elif subset.source_roots is None:
-            results["closure"] = transitive_closure(subset.n,
-                                                    subset.pairs).to_json()
-        else:
-            results["closure"] = closed_subset_from_roots(family, rank,
-                                                          roots).to_json()
-        return (EXIT_PASS if closed else EXIT_FAIL), results
+        closed = closure(subset, family, rank)
+        results = {"closed": closed == subset, "subset": subset.to_json()}
+        if closed != subset:
+            results["closure"] = closed.to_json()
+            return EXIT_FAIL, results
+        results["column_sets"] = column_sets(subset, family, rank).to_json()
+        return EXIT_PASS, results
     subs = enumerate_closed(args.n)
     results = {"n": args.n, "count": len(subs),
                "subsets": [s.to_json() for s in subs]}

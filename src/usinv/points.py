@@ -17,11 +17,12 @@ import string
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
-                    exp_nilpotent, frac_str, mat_mul, mat_substitute, pvar)
+from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, SelfCheckError,
+                    Summand, exp_nilpotent, frac_str, mat_mul, mat_substitute,
+                    pvar)
 from .invars import subset_roots
 from .rootsys import ambient_dim, flag_permutation, lie_algebra, root_index
-from .subsets import ClosedSubset, ColumnFamily, column_sets, is_closed
+from .subsets import ClosedSubset, ColumnFamily, column_sets
 
 
 class PointError(ValueError):
@@ -75,8 +76,6 @@ class UnipotentPattern:
 
 def build_us(subset: ClosedSubset, family: str, rank: int) -> UnipotentPattern:
     """The symbolic chart of U_S as a product of exponentials over S."""
-    if family == "A" and not is_closed(subset.n, subset.pairs):
-        raise PointError("subset is not transitively closed")
     cols = column_sets(subset, family, rank)
     order = product_order(subset, family, rank)
     names = _param_names(len(order))
@@ -85,10 +84,9 @@ def build_us(subset: ClosedSubset, family: str, rank: int) -> UnipotentPattern:
     for name, (_, k) in zip(names, order):
         g = lie_algebra(family, rank).basis[k]
         M = mat_mul(M, exp_nilpotent(g, GradedPoly.var(pvar(name))))
-    for i in range(1, subset.n + 1):
-        for j in range(1, subset.n + 1):
-            if i != j and M[i - 1][j - 1] and i not in cols[j]:
-                raise PointError(f"entry ({i},{j}) escapes the column sets")
+    for i, j in itertools.product(range(1, subset.n + 1), repeat=2):
+        if i != j and M[i - 1][j - 1] and i not in cols[j]:
+            raise SelfCheckError(f"entry ({i},{j}) escapes the column sets")
     return UnipotentPattern(subset.n, family, rank, M, tuple(names),
                             tuple(lead for lead, _ in order), cols)
 

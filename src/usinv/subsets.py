@@ -1,9 +1,9 @@
 """Closed subsets of positive roots, transitive closure, column sets, and the
 strongly-separated test.
 
-Pairs are always stored against the ambient SL_n index set; B/C/D roots are
-mapped to their induced pair relations through the entry pattern of the root
-matrices.
+Pairs are always stored against the ambient SL_n index set; B/C/D roots map
+to the entry pattern of their root matrices, saturated once.  `closure` alone
+decides what a subset is: closed, or refused for a wrong n or negative root.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .exact import SelfCheckError
 from .rootsys import (Root, ambient_dim, lie_algebra, positive_roots,
                       root_index)
 
@@ -126,17 +127,17 @@ def root_closure(roots: Sequence[Root], positive: Sequence[Root]) -> tuple:
 
 @dataclass(frozen=True)
 class ColumnFamily:
-    """Column sets S_1..S_n; j is always in S_j and the family is hereditary:
-    a in S_b and b in S_c imply a in S_c."""
+    """Column sets S_1..S_n of a closed S, so j is in S_j and the family is
+    hereditary (a in S_b and b in S_c imply a in S_c), or a self-check fails."""
     n: int
     sets: tuple  # tuple of frozensets, index j-1 -> S_j
 
     def __post_init__(self):
         for j, s in enumerate(self.sets, start=1):
             if j not in s:
-                raise SubsetError(f"{j} missing from S_{j}")
+                raise SelfCheckError(f"{j} missing from S_{j}")
         if not self.is_hereditary():
-            raise SubsetError("column family is not hereditary")
+            raise SelfCheckError("column family is not hereditary")
 
     def __getitem__(self, j: int) -> frozenset:
         return self.sets[j - 1]
@@ -152,14 +153,11 @@ class ColumnFamily:
         return {f"S_{j}": sorted(self.sets[j - 1]) for j in range(1, self.n + 1)}
 
 
-def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
-    """S_j = {j} plus the rows that can be nonzero in column j of U_S.
-
-    Every command checks its subset here: n must match the family, type A
-    pairs must respect the flag order and be closed, and B/C/D roots must be
-    closed in the root system.  B/C/D then apply the transitive closure of
-    the induced pair relations.
-    """
+def closure(subset: ClosedSubset, family: str, rank: int) -> ClosedSubset:
+    """The smallest closed set of positive roots containing S: S itself when
+    S is closed.  An n that does not match the family, or a negative root
+    (for type A a pair (i, j) with i > j), raises SubsetError.  A B/C/D
+    subset carries the roots `closed_subset_from_roots` built it from."""
     n = ambient_dim(family, rank)
     if n != subset.n:
         raise SubsetError(f"family {family} rank {rank} has n={n}, "
@@ -167,19 +165,35 @@ def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
     if family == "A":
         if any(i > j for (i, j) in subset.pairs):
             raise SubsetError("type A pairs must respect the flag order i < j")
-        if not is_closed(subset.n, subset.pairs):
-            raise SubsetError("subset is not transitively closed")
-        pairs = subset.pairs
-    else:
-        roots = subset.source_roots
-        if roots is not None and root_closure(
-                roots, positive_roots(family, rank).positive_roots) != roots:
-            raise SubsetError("root set is not closed")
-        pairs = transitive_closure(subset.n, subset.pairs).pairs
-    sets = []
-    for j in range(1, subset.n + 1):
-        sets.append(frozenset({j} | {i for (i, jj) in pairs if jj == j}))
-    return ColumnFamily(subset.n, tuple(sets))
+        if is_closed(n, subset.pairs):
+            return subset
+        return transitive_closure(n, subset.pairs)
+    roots = subset.source_roots
+    if roots is None:
+        raise SubsetError(f"family {family} subsets need their roots")
+    positive = positive_roots(family, rank).positive_roots
+    for root in roots:
+        if root not in positive:
+            raise SubsetError(f"{root.name()} is not a positive root")
+    closed = root_closure(roots, positive)
+    if closed == roots:
+        return subset
+    return closed_subset_from_roots(family, rank, closed)
+
+
+def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
+    """S_j = {j} plus the rows that can be nonzero in column j of U_S.
+
+    Every command checks its subset here: one that `closure` refuses or
+    does not return unchanged is refused.  The pairs of S serve every
+    family, B/C/D ones being saturated already.
+    """
+    if closure(subset, family, rank) != subset:
+        raise SubsetError("subset is not transitively closed" if family == "A"
+                          else "root set is not closed")
+    return ColumnFamily(subset.n, tuple(
+        frozenset({j} | {i for (i, jj) in subset.pairs if jj == j})
+        for j in range(1, subset.n + 1)))
 
 
 def enumerate_closed(n: int):

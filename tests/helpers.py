@@ -4,8 +4,11 @@ GL_n dimensions by the hook content formula, and a direct tensor expansion
 of weighted points.
 
 These deliberately avoid the production code paths they are used to check;
-the one exception, `whole_matrix_nullspace`, eliminates every row in one
-`RowEchelon`, to check the singleton-row presolve of `exact.nullspace`.
+two exceptions reuse a production step on purpose.  `whole_matrix_nullspace`
+eliminates every row in one `RowEchelon`, to check the singleton-row presolve
+of `exact.nullspace`, and `oracle_column_sets` saturates the induced pairs of
+a B/C/D root set a second time, to check that `closed_subset_from_roots`
+saturates them once for good.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import itertools
 from fractions import Fraction
 
 from usinv.exact import RowEchelon
+from usinv.rootsys import ambient_dim
+from usinv.subsets import pairs_from_roots, transitive_closure
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -69,6 +74,15 @@ def oracle_roots_closed(roots, positive):
     return all(s in chosen or s not in pos
                for a, b in itertools.combinations(chosen, 2)
                for s in [tuple(x + y for x, y in zip(a, b))])
+
+
+def oracle_column_sets(family, rank, roots):
+    """Column sets S_1..S_n of a closed B/C/D root set, entry j - 1 for S_j,
+    from the transitive closure of its induced pairs."""
+    n = ambient_dim(family, rank)
+    pairs = transitive_closure(n, pairs_from_roots(family, rank, roots)).pairs
+    return tuple(frozenset({j} | {i for (i, jj) in pairs if jj == j})
+                 for j in range(1, n + 1))
 
 
 def oracle_closed_count(n):

@@ -456,23 +456,32 @@ def test_invariants_degree_zero_refused(capsys):
 
 
 def test_invariants_non_closed_set_refused(capsys):
-    """A non-closed subset, or type A pairs against the flag order, exit 3
-    in every command that builds on the subset, with the message of the one
-    check they all share; closed check reports a non-closed set with exit 1.
-    invariants used to exit 0 on 2:1 and on 1:2,2:3 (with the non-closed set
-    as its subset), and every command but stab on the B/C sets, where stab
-    exited 1, although L1-L2 + L2 = L1 and L1-L2 + 2L2 = L1+L2 are positive
-    roots outside them."""
+    """A non-closed subset, a negative B/C/D root or type A pairs against
+    the flag order exit 3 in every command that builds on the subset, with
+    the message of the one check they all share; closed check reports a
+    non-closed set of positive roots with exit 1 and refuses a negative root
+    or reversed pair with exit 3.  invariants used to exit 0 on 2:1 and on
+    1:2,2:3 (with the non-closed set as its subset), and every command but
+    stab on the B/C sets, where stab exited 1, although L1-L2 + L2 = L1 and
+    L1-L2 + 2L2 = L1+L2 are positive roots outside them.  The negative roots
+    L2-L1 and -2L1 passed every command but stab, and closed check reported
+    2:1,1:3 as not closed with exit 1."""
     table = [
-        # (subset flags, cocharacter for limit, closed?, message)
-        ("--n 4 --pairs 1:2,2:3", "1,0,-1,0", False, "not transitively closed"),
-        ("--n 3 --pairs 2:1", "1,0,-1", True, "flag order"),
-        ("--family B --l 2 --roots L1-L2,L2", "1,0,-1,0,0", False,
+        # (subset flags, cocharacter for limit, closed check exit, message)
+        ("--n 4 --pairs 1:2,2:3", "1,0,-1,0", EXIT_FAIL,
+         "not transitively closed"),
+        ("--n 3 --pairs 2:1", "1,0,-1", EXIT_USAGE, "flag order"),
+        ("--n 3 --pairs 2:1,1:3", "1,0,-1", EXIT_USAGE, "flag order"),
+        ("--family B --l 2 --roots L1-L2,L2", "1,0,-1,0,0", EXIT_FAIL,
          "root set is not closed"),
-        ("--family C --l 2 --roots L1-L2,2L2", "1,0,-1,0", False,
+        ("--family C --l 2 --roots L1-L2,2L2", "1,0,-1,0", EXIT_FAIL,
          "root set is not closed"),
+        ("--family B --l 2 --roots L2-L1", "1,0,-1,0,0", EXIT_USAGE,
+         "-L1+L2 is not a positive root"),
+        ("--family C --l 2 --roots=-2L1", "1,0,-1,0", EXIT_USAGE,
+         "-2L1 is not a positive root"),
     ]
-    for flags, cochar, closed, message in table:
+    for flags, cochar, closed_check, message in table:
         commands = ["point", "point --weighted minimal", "stab",
                     "stab --weighted minimal", f"limit --cochar {cochar}",
                     "screen --radius 1", "invariants --degree 1"]
@@ -483,9 +492,10 @@ def test_invariants_non_closed_set_refused(capsys):
             argv = [name] + flags.split() + extra
             assert _exit_code(argv) == EXIT_USAGE, argv
             assert message in capsys.readouterr().err, argv
-        if not closed:
-            argv = ["closed", "check"] + flags.split()
-            assert _exit_code(argv) == EXIT_FAIL, argv
+        argv = ["closed", "check"] + flags.split()
+        assert _exit_code(argv) == closed_check, argv
+        if closed_check == EXIT_USAGE:
+            assert message in capsys.readouterr().err, argv
 
 
 def test_check_generation_degree_zero_refused(capsys):

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from usinv.exact import (GradedPoly, Q1, mat_is_zero, mat_mul,
+import usinv.points
+from usinv.exact import (GradedPoly, Q1, SelfCheckError, mat_is_zero, mat_mul,
                          mat_substitute, pvar, wedge_apply)
 from usinv.points import (PointError, alpha_valid, build_point,
                           build_us, default_index_set, flag_levels,
                           minimal_alpha, so_parameter_property)
 from usinv.rootsys import (bilinear_form, lie_algebra, parse_root,
                            positive_roots)
-from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
-                           enumerate_closed)
+from usinv.subsets import (ClosedSubset, ColumnFamily, SubsetError,
+                           closed_subset_from_roots, enumerate_closed)
 from helpers import cofactor_det, oracle_roots_closed, transpose
 
 
@@ -63,8 +64,21 @@ def test_build_us_sp4_display():
 
 
 def test_build_us_rejects_non_closed():
-    with pytest.raises(PointError):
+    """build_us shares the refusal of column_sets."""
+    with pytest.raises(SubsetError, match="not transitively closed"):
         build_us(ClosedSubset(3, frozenset({(1, 2), (2, 3)})), "A", 2)
+
+
+def test_build_us_escaping_entry_is_self_check_failure(monkeypatch):
+    """An entry of the chart outside the column sets of a closed S is a
+    defect of the program, not bad input."""
+    def diagonal_only(subset, family, rank):
+        return ColumnFamily(subset.n, tuple(frozenset({j})
+                                            for j in range(1, subset.n + 1)))
+
+    monkeypatch.setattr(usinv.points, "column_sets", diagonal_only)
+    with pytest.raises(SelfCheckError, match=r"entry \(1,2\) escapes"):
+        build_us(ClosedSubset(3, frozenset({(1, 2)})), "A", 2)
 
 
 def test_build_us_det_one_and_support():

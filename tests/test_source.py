@@ -135,3 +135,27 @@ def test_every_function_is_referenced_in_package():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))]
     assert unreferenced_functions(sources) == sorted(UNREFERENCED_KEPT)
+
+
+def referenced_names(source: str) -> set:
+    """Every name a module reads or binds, as a name, an attribute or an
+    import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name.split(".")[-1] for alias in node.names}
+    return found
+
+
+def test_closedness_decided_in_subsets_only():
+    """`subsets.closure` is the one place that decides whether a subset is
+    closed; no other module calls the tests it is built from."""
+    tests = {"is_closed", "root_closure", "transitive_closure"}
+    found = {path.name: sorted(tests & referenced_names(
+                 path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py")) if path.name != "subsets.py"}
+    assert {name: names for name, names in found.items() if names} == {}

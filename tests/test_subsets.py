@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from usinv.rootsys import parse_root, positive_roots
-from usinv.subsets import (ClosedSubset, SubsetError, closed_subset_from_roots,
-                           column_sets, elementwise_less, enumerate_closed,
-                           is_closed, pairs_from_roots, strongly_separated,
+from usinv.exact import SelfCheckError
+from usinv.rootsys import Root, parse_root, positive_roots
+from usinv.subsets import (ClosedSubset, ColumnFamily, SubsetError,
+                           closed_subset_from_roots, closure, column_sets,
+                           elementwise_less, enumerate_closed, is_closed,
+                           pairs_from_roots, strongly_separated,
                            transitive_closure)
-from helpers import (oracle_closed_count, oracle_is_closed,
+from helpers import (oracle_closed_count, oracle_column_sets, oracle_is_closed,
                      oracle_roots_closed, random_closed_pairs)
 
 
@@ -88,6 +90,84 @@ def test_column_sets_so4_example():
 def test_column_sets_requires_closed_for_a():
     with pytest.raises(SubsetError):
         column_sets(ClosedSubset(3, frozenset({(1, 2), (2, 3)})), "A", 2)
+
+
+def test_column_family_not_hereditary_is_self_check_failure():
+    """A closed S always gives a hereditary family, so a family that is not
+    one is a defect of the program: 1 in S_2 and 2 in S_3, but 1 not in
+    S_3.  This used to raise SubsetError, a usage error."""
+    with pytest.raises(SelfCheckError, match="not hereditary"):
+        ColumnFamily(3, (frozenset({1}), frozenset({1, 2}),
+                         frozenset({2, 3})))
+    with pytest.raises(SelfCheckError, match="2 missing from S_2"):
+        ColumnFamily(2, (frozenset({1}), frozenset({1})))
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1))
+
+
+def test_closure_matches_oracle_for_type_a():
+    """Every subset of the positive pairs of SL_2..SL_5: closure returns S
+    itself exactly when the oracle calls S closed, and otherwise a superset
+    the oracle calls closed."""
+    for n in (2, 3, 4, 5):
+        for chosen in _subsets(list(itertools.combinations(range(1, n + 1),
+                                                           2))):
+            S = ClosedSubset(n, frozenset(chosen))
+            closed = closure(S, "A", n - 1)
+            if oracle_is_closed(n, chosen):
+                assert closed is S, chosen
+            else:
+                assert closed.n == n and closed.pairs > S.pairs, chosen
+                assert oracle_is_closed(n, closed.pairs), chosen
+
+
+def test_closure_matches_oracle_for_bcd():
+    """Every subset of the positive roots of B, C, D at rank 2 and 3, as for
+    type A; for a closed one, column_sets reads the pairs saturated once by
+    closed_subset_from_roots and agrees with a second saturation."""
+    for family, rank in itertools.product("BCD", (2, 3)):
+        positive = positive_roots(family, rank).positive_roots
+        for chosen in _subsets(positive):
+            S = closed_subset_from_roots(family, rank, chosen)
+            closed = closure(S, family, rank)
+            if oracle_roots_closed(chosen, positive):
+                assert closed is S, chosen
+                assert column_sets(S, family, rank).sets == (
+                    oracle_column_sets(family, rank, chosen)), chosen
+            else:
+                grown = closed.source_roots
+                assert grown[:len(chosen)] == chosen, chosen
+                assert len(grown) > len(chosen), chosen
+                assert oracle_roots_closed(grown, positive), chosen
+                assert closed == closed_subset_from_roots(family, rank,
+                                                          grown)
+
+
+def test_closure_refuses_negative_roots():
+    """Every single reversed pair of SL_2..SL_5 and every single negative
+    root of B, C, D at rank 2 and 3; a negative B/C/D root used to pass."""
+    for n in (2, 3, 4, 5):
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            with pytest.raises(SubsetError, match="flag order"):
+                closure(ClosedSubset(n, frozenset({(j, i)})), "A", n - 1)
+    for family, rank in itertools.product("BCD", (2, 3)):
+        for root in positive_roots(family, rank).positive_roots:
+            negative = Root(tuple(-c for c in root.coeffs))
+            S = closed_subset_from_roots(family, rank, [negative])
+            with pytest.raises(SubsetError, match="not a positive root"):
+                closure(S, family, rank)
+
+
+def test_closure_refuses_wrong_n_or_missing_roots():
+    with pytest.raises(SubsetError, match="has n=4"):
+        closure(ClosedSubset(3, frozenset()), "A", 3)
+    with pytest.raises(SubsetError, match="has n=5"):
+        closure(ClosedSubset(4, frozenset(), source_roots=()), "B", 2)
+    with pytest.raises(SubsetError, match="need their roots"):
+        closure(ClosedSubset(4, frozenset({(1, 3)})), "D", 2)
 
 
 def test_column_sets_hereditary_all_enumerated():
