@@ -354,27 +354,37 @@ def _dumps(report) -> str:
     exact, so a float, a non-str key or any type other than str, int, bool,
     None, list, tuple and dict raises TypeError.  Each separator and indent
     goes into one chunk with the value after it, as in the stdlib's own
-    iterencode, so the chunk list is no longer than the one it builds."""
+    iterencode, so the chunk list is no longer than the one it builds.
+
+    A leaf, a non-empty list or tuple whose items are all exactly str or all
+    exactly int, is encoded in one join and memoized for the rest of the
+    report, keyed by (indent, item type, items): each distinct pair of
+    `closed enumerate` and each distinct matrix row of a `stab` basis is
+    encoded once.  Only exact types make a leaf, because True == 1 but
+    encodes as true, and a subclass may redefine equality or hashing; any
+    other list, one with a bool or a subclass item included, takes the
+    item-by-item path below."""
     chunks = []
     append = chunks.append
+    leaves: dict = {}
 
     def emit(value, lead: str, indent: str) -> None:
         # `lead` is the text before value; `indent` starts with "\n"
-        if isinstance(value, str):
-            append(lead + _quote(value))
-        elif value is None:
-            append(lead + "null")
-        elif value is True:
-            append(lead + "true")
-        elif value is False:
-            append(lead + "false")
-        elif isinstance(value, int):
-            append(lead + int.__repr__(value))
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)):
             if not value:
                 append(lead + "[]")
                 return
             inner = indent + "  "
+            kind = type(value[0])
+            if (kind is str or kind is int) and len({*map(type, value)}) == 1:
+                key = (indent, kind, tuple(value))
+                text = leaves.get(key)
+                if text is None:
+                    encode = _quote if kind is str else int.__repr__
+                    text = leaves[key] = ("[" + inner + ("," + inner).join(
+                        map(encode, value)) + indent + "]")
+                append(lead + text)
+                return
             lead += "[" + inner
             for item in value:
                 emit(item, lead, inner)
@@ -392,6 +402,16 @@ def _dumps(report) -> str:
                 emit(value[key], lead + _quote(key) + ": ", inner)
                 lead = "," + inner
             append(indent + "}")
+        elif isinstance(value, str):
+            append(lead + _quote(value))
+        elif value is None:
+            append(lead + "null")
+        elif value is True:
+            append(lead + "true")
+        elif value is False:
+            append(lead + "false")
+        elif isinstance(value, int):
+            append(lead + int.__repr__(value))
         else:
             raise TypeError(f"{type(value).__name__} {value!r} has no exact "
                             f"JSON form")
@@ -446,8 +466,11 @@ def run(argv: Sequence[str]) -> int:
     text = _dumps(report) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc}") from exc
     if getattr(args, "format", "json") == "table":
         _render_table(report, sys.stdout)
     elif not out:

@@ -39,8 +39,10 @@ Q1 = Fraction(1)
 
 def int_if_integral(c):
     """c as an int when it is an integral Fraction; any other value, a
-    non-integral Fraction or a GradedPoly included, unchanged."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    non-integral Fraction or a GradedPoly included, unchanged.  The exact
+    type test skips `isinstance`, which pays `ABCMeta.__instancecheck__` on
+    every int because Fraction is a `numbers.Rational`."""
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
 
@@ -664,6 +666,8 @@ def spans_equal(vectors_a: Iterable[Mapping], vectors_b: Iterable[Mapping]) -> b
 # ---------------------------------------------------------------------------
 
 def frac_str(c: Coeff) -> str:
+    if type(c) is int:
+        return f"{c}/1"
     if isinstance(c, GradedPoly):
         if c.is_constant():
             c = c.constant_value()

@@ -29,12 +29,9 @@ class InvariantError(ValueError):
 DEFAULT_CAP = 5000
 
 
-def check_monomial_cap(n: int, d: int) -> None:
-    """Refuse degree d in the n x n matrix coordinates when its monomials
-    outnumber the cap, DEFAULT_CAP unless USINV_CAP overrides it with a
-    positive integer; they are counted, not built, so nothing is solved
-    before a refusal."""
-    count = math.comb(n * n + d - 1, d)
+def cost_cap() -> int:
+    """The cap of every cost guard: DEFAULT_CAP unless USINV_CAP overrides it
+    with a positive integer; any other USINV_CAP is refused."""
     text = os.environ.get("USINV_CAP") or str(DEFAULT_CAP)
     try:
         cap = int(text)
@@ -43,6 +40,15 @@ def check_monomial_cap(n: int, d: int) -> None:
     if cap < 1:
         raise InvariantError(f"USINV_CAP must be a positive integer, "
                              f"not {text!r}")
+    return cap
+
+
+def check_monomial_cap(n: int, d: int) -> None:
+    """Refuse degree d in the n x n matrix coordinates when its monomials
+    outnumber `cost_cap()`; they are counted, not built, so nothing is
+    solved before a refusal."""
+    count = math.comb(n * n + d - 1, d)
+    cap = cost_cap()
     if count > cap:
         raise InvariantError(f"{count} monomials of degree {d} exceed "
                              f"the cap {cap}; raise it with USINV_CAP")

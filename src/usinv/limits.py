@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
                     apply_group, column_support, xvar)
+from .invars import cost_cap
 from .points import (alpha_valid, build_point, default_index_set,
                      flag_prefix_sums)
 from .rootsys import ambient_dim, flag_permutation, lie_algebra
@@ -302,9 +303,16 @@ def cocharacter_grid(family: str, rank: int, radius: int):
     """All cocharacters with entries bounded by the radius, family
     constraints enforced, in lexicographic order of the weight vectors.
     Radius 0 is refused: its grid holds only the zero cocharacter, whose
-    limit is the point itself, so a screen over it screens no boundary."""
+    limit is the point itself, so a screen over it screens no boundary.
+    The grid walks (2 * radius + 1) ** rank heads (rank = n - 1 for type A),
+    counted before any curve is built and refused above `cost_cap()`."""
     if radius < 1:
         raise LimitError("radius must be at least 1")
+    heads = (2 * radius + 1) ** rank
+    cap = cost_cap()
+    if heads > cap:
+        raise LimitError(f"{heads} cocharacter grid heads at radius {radius} "
+                         f"exceed the cap {cap}; raise it with USINV_CAP")
     n = ambient_dim(family, rank)
     out = []
     if family == "A":

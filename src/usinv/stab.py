@@ -34,7 +34,9 @@ class StabilizerReport:
     dimension: int
     basis: list                      # matrices spanning {A in g : A.p = 0}
     algebra_dim: int
-    kernel: list = field(repr=False)  # coordinates of basis; not serialized
+    # nonzero coordinates {index: value} of each basis matrix in the algebra
+    # basis; not serialized
+    kernel: list = field(repr=False)
     equals_uS: Optional[bool] = None
     nilpotent_part_equals_uS: Optional[bool] = None
     us_dimension: Optional[int] = None
@@ -43,7 +45,7 @@ class StabilizerReport:
         out = {
             "dimension": self.dimension,
             "algebra_dim": self.algebra_dim,
-            "basis": [[[frac_str(e) for e in row] for row in B]
+            "basis": [[list(map(frac_str, row)) for row in B]
                       for B in self.basis],
         }
         if self.equals_uS is not None:
@@ -108,14 +110,14 @@ def _integral(comps: dict) -> dict:
     return {t: int_if_integral(c) for t, c in comps.items()}
 
 
-def _combine(supports: Sequence[list], coeffs: Sequence, n: int) -> Matrix:
-    """The n x n matrix sum_r coeffs[r] * B_r, from the column supports."""
+def _combine(supports: Sequence[list], coeffs: dict, n: int) -> Matrix:
+    """The n x n matrix sum_r coeffs[r] * B_r over the nonzero coordinates
+    {r: coeffs[r]}, from the column supports."""
     M = [[0] * n for _ in range(n)]
-    for support, c in zip(supports, coeffs):
-        if c:
-            for j, col in enumerate(support):
-                for i, a in col:
-                    M[i - 1][j] += c * a
+    for r, c in coeffs.items():
+        for j, col in enumerate(supports[r]):
+            for i, a in col:
+                M[i - 1][j] += c * a
     return M
 
 
@@ -129,7 +131,8 @@ def lie_stabilizer(p: MultiVector, algebra: MatrixLieData) -> StabilizerReport:
     rows = _equations(p, supports)
     d = len(algebra.basis)
     matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], d)
-    kernel = nullspace(matrix)
+    kernel = [{k: c for k, c in enumerate(vec) if c}
+              for vec in nullspace(matrix)]
     basis = [_combine(supports, vec, algebra.n) for vec in kernel]
     # re-derive the equations from the reported matrices, one column each
     if not _all_zero(_equations(p, [column_support(M) for M in basis])):
@@ -173,7 +176,7 @@ def compare_uS(report: StabilizerReport, subset: ClosedSubset, family: str,
     # a positive root coordinate span the meet with those coordinates
     ech = RowEchelon()
     for vec in report.kernel:
-        ech.add({(k in positive, k): c for k, c in enumerate(vec) if c})
+        ech.add({(k in positive, k): c for k, c in vec.items()})
     rows = [({k for _, k in row}, nilpotent)
             for (nilpotent, _), row in ech.pivots.items()]
     full = _spans_coordinates([s for s, _ in rows], us)

@@ -54,7 +54,7 @@ class ClosedSubset:
         return sorted(self.pairs)
 
     def to_json(self) -> dict:
-        out = {"n": self.n, "pairs": [list(p) for p in self.sorted_pairs()]}
+        out = {"n": self.n, "pairs": list(map(list, self.sorted_pairs()))}
         if self.source_roots is not None:
             out["roots"] = [r.name() for r in self.source_roots]
         return out

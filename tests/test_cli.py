@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, corpus, determinism, formats."""
 
+import enum
 import hashlib
 import json
 from pathlib import Path
@@ -8,12 +9,14 @@ import pytest
 
 import usinv.cli
 import usinv.invars
+import usinv.limits
 import usinv.rootsys
 import usinv.stab
 from usinv.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE,
                        UsageError, _dumps, build_parser, main, parse_pairs,
                        run)
 from usinv.exact import Q1
+from usinv.limits import cocharacter_grid
 from usinv.corpus import corpus_get, corpus_list, corpus_names
 from usinv.rootsys import parse_root
 from usinv.subsets import closed_subset_from_roots
@@ -259,6 +262,18 @@ def test_closed_enumerate(tmp_path, capsys):
     assert report["results"]["count"] == 7
 
 
+def test_unwritable_out_refused(tmp_path, capsys):
+    """An --out path in a missing directory used to exit 1, the code of a
+    failed check, with a FileNotFoundError traceback."""
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert _exit_code(["stab", "--n", "3", "--pairs", "1:2",
+                           "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"usage error: cannot write --out {out}: ")
+        assert captured.out == ""
+
+
 def test_point_weighted(capsys):
     code, out = _run_capture(capsys, [
         "point", "--family", "A", "--n", "4", "--pairs", "1:3,2:4",
@@ -442,6 +457,33 @@ def test_screen_negative_radius_refused(capsys):
         assert "radius" in capsys.readouterr().err
 
 
+def test_screen_grid_cap_refused_before_any_curve(monkeypatch, capsys):
+    """`screen --n 6 --pairs '' --radius 10` walks 21^5 grid heads and used
+    to run for more than 10 s; the heads are counted first and refused above
+    the cap that USINV_CAP overrides."""
+    def limit(p, lam):
+        raise AssertionError("curve built before the cap refusal")
+
+    monkeypatch.setattr(usinv.limits, "cochar_limit", limit)
+    assert _exit_code(["screen", "--n", "6", "--pairs", "",
+                       "--radius", "10"]) == EXIT_USAGE
+    assert ("4084101 cocharacter grid heads at radius 10 exceed the cap "
+            "5000; raise it with USINV_CAP") in capsys.readouterr().err
+    for family, rank, radius in (("B", 3, 10), ("D", 4, 4)):
+        with pytest.raises(ValueError, match="USINV_CAP"):
+            cocharacter_grid(family, rank, radius)
+    monkeypatch.undo()
+    # SL_3 at radius 2 walks 5^2 heads
+    monkeypatch.setenv("USINV_CAP", "24")
+    assert _exit_code("screen --n 3 --pairs 1:2 --radius 2".split()) == (
+        EXIT_USAGE)
+    assert "25 cocharacter grid heads at radius 2 exceed the cap 24" in (
+        capsys.readouterr().err)
+    monkeypatch.setenv("USINV_CAP", "25")
+    assert _exit_code("screen --n 3 --pairs 1:2 --radius 2".split()) == (
+        EXIT_PASS)
+
+
 def test_closed_enumerate_nonpositive_n_refused(capsys):
     # n = -2 used to report count 1
     assert _exit_code(["closed", "enumerate", "--n", "-2"]) == EXIT_USAGE
@@ -617,6 +659,15 @@ def test_invalid_rank_refused_on_every_call(capsys):
         assert "unsupported rank 0" in capsys.readouterr().err
 
 
+class _Level(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class _Tag(str):
+    pass
+
+
 def test_dumps_matches_json_dumps(monkeypatch, capsys):
     """The report encoder writes what json.dumps(sort_keys=True, indent=2)
     writes, on edge cases and on the report of every golden command."""
@@ -628,6 +679,15 @@ def test_dumps_matches_json_dumps(monkeypatch, capsys):
         [-1, -(2 ** 70), 2 ** 64, 2 ** 200],
         (1, (2, "x"), []), {"k": ((),)},
         {"10": 1, "2": 2, "1": {"b": 1, "a": [], "B": None}},
+        # leaves the memo serves again, at another depth or as a tuple
+        {"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2], ("x", "y")]},
+         "e": ["x", "y"]},
+        [[1, 2], (1, 2), ("x",), ["x"], ["caf\u00e9", "\x00\n"]],
+        # equal to a memoized leaf, but not exactly int or str items
+        [[1, 1], [True, True], [1, True], [True, 1], [True, True]],
+        [[1, 2], [_Level.ONE, _Level.TWO], ["a", "b"], [_Tag("a"), "b"],
+         [_Tag("a"), _Tag("b")]],
+        [f"s{k}" for k in range(2000)],
     ]
     for obj in cases:
         assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2), obj
@@ -647,6 +707,7 @@ def test_dumps_matches_json_dumps(monkeypatch, capsys):
 
 
 def test_dumps_refuses_inexact_values():
-    for obj in (1.5, [0.0], {"a": 2.0}, {1: "x"}, {"a": {3: 4}}, {"a": {1, 2}}):
+    for obj in (1.5, [0.0], {"a": 2.0}, {1: "x"}, {"a": {3: 4}}, {"a": {1, 2}},
+                [1, 2.0], (0.5, 1.5)):
         with pytest.raises(TypeError):
             _dumps(obj)

@@ -3,6 +3,7 @@
 import pytest
 
 import itertools
+import random
 
 from usinv.exact import MultiVector, eij, spans_equal, zeros
 from usinv.invars import InvariantError, subset_basis_indices
@@ -243,3 +244,37 @@ def test_annihilates_refuses_mis_sized_matrix():
                 annihilates(M, p)
         assert annihilates(zeros(3), p) and annihilates(eij(3, 1, 2), p)
         assert not annihilates(eij(3, 2, 1), p)
+
+
+def test_kernel_is_sparse_and_spans_the_basis():
+    """Each kernel vector holds only nonzero coordinates, and its basis
+    matrix is the dense sum of c_r * B_r over the algebra basis: every closed
+    SL_4 set, and a seeded sample of closed SL_5 sets and of closed rank-3
+    B/C/D root sets, plain and weighted."""
+    rng = random.Random(19)
+    cases = [(S, "A", 3) for S in enumerate_closed(4)]
+    cases += [(S, "A", 4) for S in rng.sample(enumerate_closed(5), 25)]
+    for family in ("B", "C", "D"):
+        pos = positive_roots(family, 3).positive_roots
+        closed = [combo for size in range(1, len(pos) + 1)
+                  for combo in itertools.combinations(pos, size)
+                  if oracle_roots_closed(combo, pos)]
+        cases += [(closed_subset_from_roots(family, 3, combo), family, 3)
+                  for combo in rng.sample(closed, 8)]
+    entries = 0
+    for S, family, rank in cases:
+        algebra = lie_algebra(family, rank)
+        n = algebra.n
+        for alpha in (None, "minimal"):
+            rep = lie_stabilizer(build_point(S, family, rank, alpha=alpha),
+                                 algebra)
+            assert len(rep.kernel) == len(rep.basis) == rep.dimension
+            for vec, M in zip(rep.kernel, rep.basis):
+                assert vec and all(vec.values()), (family, S.to_json())
+                assert set(vec) <= set(range(len(algebra.basis)))
+                dense = [[sum(c * algebra.basis[r][i][j]
+                              for r, c in vec.items())
+                          for j in range(n)] for i in range(n)]
+                assert M == dense, (family, S.to_json(), alpha)
+                entries += len(vec)
+    assert len(cases) == 40 + 25 + 24 and entries > 0
