@@ -221,9 +221,9 @@ def _cmd_closed(args) -> tuple:
             return EXIT_FAIL, results
         results["column_sets"] = column_sets(subset, family, rank).to_json()
         return EXIT_PASS, results
-    subs = enumerate_closed(args.n)
-    results = {"n": args.n, "count": len(subs),
-               "subsets": [s.to_json() for s in subs]}
+    found = enumerate_closed(args.n)
+    results = {"n": args.n, "count": len(found),
+               "subsets": [{"n": args.n, "pairs": pairs} for pairs in found]}
     return EXIT_PASS, results
 
 

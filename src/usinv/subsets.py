@@ -196,28 +196,48 @@ def column_sets(subset: ClosedSubset, family: str, rank: int) -> ColumnFamily:
         for j in range(1, subset.n + 1)))
 
 
-def enumerate_closed(n: int):
-    """All transitively closed subsets of {(i,j): i<j}, sorted by cardinality
-    then lexicographically.
+def enumerate_closed(n: int) -> list:
+    """All transitively closed subsets of {(i, j): i < j}, each a tuple of
+    its pairs in lex order, sorted by size and then lexicographically.
 
-    A closed set on [m] is a closed set on [m - 1] plus the predecessors of
-    m, which must be down-closed in it: with j a predecessor of m and (i, j)
-    in the set, i is one too.  The sets are built up that way, each as its
-    predecessor bitmasks, entry j - 1 for j.
+    The sets are built one row at a time from row n up.  Row i takes a
+    successor set inside {i+1..n} that holds the successors of each of its
+    members, the mirror of a predecessor down-set, and its pairs go in front
+    of those of the rows below, so every tuple is born sorted.  Rows i..n of
+    a closed set are a closed set on {i..n}, so no stage outnumbers the
+    last: each stage is counted as it is built and refused with SubsetError
+    once it passes `cost_cap()`, so at most one row's extensions of one set
+    are built past the cap.
     """
     if n < 1:
         raise SubsetError("enumeration needs n >= 1")
-    if n > 6:
-        raise SubsetError("enumeration is guarded to n <= 6")
-    sets = [()]
-    for m in range(n):
-        sets = [preds + (down,) for preds in sets for down in range(1 << m)
-                if all(preds[j] & ~down == 0
-                       for j in range(m) if down >> j & 1)]
-    found = sorted(([(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
-                     if preds[j] >> i & 1] for preds in sets),
-                   key=lambda ps: (len(ps), ps))
-    return [ClosedSubset(n, frozenset(ps)) for ps in found]
+    from .invars import cost_cap  # invars imports this module
+    cap = cost_cap()
+    # a set on rows i..n: (the successor bitmask of each row, row i first,
+    # bit n - j standing for j; its pairs)
+    sets = [((), ())]
+    for i in range(n, 0, -1):
+        built = []
+        heads = {}  # successor bitmask of row i -> its pairs (i, j)
+        for succ, pairs in sets:
+            ups = [0]
+            for j in range(n, i, -1):  # j joins once all its successors have
+                bit, s = 1 << (n - j), succ[j - i - 1]
+                ups += [up | bit for up in ups if not s & ~up]
+            for up in ups:
+                head = heads.get(up)
+                if head is None:
+                    head = heads[up] = tuple(
+                        (i, j) for j in range(i + 1, n + 1) if up >> (n - j) & 1)
+                built.append(((up,) + succ, head + pairs))
+            if len(built) > cap:
+                raise SubsetError(f"closed sets for n={n} exceed the cap "
+                                  f"{cap}; raise it with USINV_CAP")
+        sets = built
+    found = [pairs for _, pairs in sets]
+    found.sort()
+    found.sort(key=len)
+    return found
 
 
 def elementwise_less(a: Iterable[int], b: Iterable[int]) -> bool:

@@ -8,17 +8,20 @@ two exceptions reuse a production step on purpose.  `whole_matrix_nullspace`
 eliminates every row in one `RowEchelon`, to check the singleton-row presolve
 of `exact.nullspace`, and `oracle_column_sets` saturates the induced pairs of
 a B/C/D root set a second time, to check that `closed_subset_from_roots`
-saturates them once for good.
+saturates them once for good.  `closed_subsets` is no oracle: it wraps the
+enumerated pair tuples for tests that sweep over `ClosedSubset` objects.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from usinv.exact import RowEchelon
 from usinv.rootsys import ambient_dim
-from usinv.subsets import pairs_from_roots, transitive_closure
+from usinv.subsets import (ClosedSubset, enumerate_closed, pairs_from_roots,
+                           transitive_closure)
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -85,15 +88,25 @@ def oracle_column_sets(family, rank, roots):
                  for j in range(1, n + 1))
 
 
+@functools.cache
+def oracle_closed_sets(n):
+    """Closed subsets of the upper pairs by exhaustive filter over every pair
+    subset, each a lex-sorted tuple of pairs, sorted by (size, lex)."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = (tuple(pairs[b] for b in range(len(pairs)) if mask >> b & 1)
+              for mask in range(1 << len(pairs)))
+    return sorted((ps for ps in chosen if oracle_is_closed(n, ps)),
+                  key=lambda ps: (len(ps), ps))
+
+
 def oracle_closed_count(n):
     """Count closed subsets of the upper pairs by exhaustive filter."""
-    pairs = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    count = 0
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-        if oracle_is_closed(n, chosen):
-            count += 1
-    return count
+    return len(oracle_closed_sets(n))
+
+
+def closed_subsets(n):
+    """`enumerate_closed(n)` as `ClosedSubset` objects, in its order."""
+    return [ClosedSubset(n, frozenset(ps)) for ps in enumerate_closed(n)]
 
 
 # ---------------------------------------------------------------------------

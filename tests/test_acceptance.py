@@ -20,8 +20,9 @@ from usinv.rootsys import lie_algebra, parse_root
 from usinv.stab import compare_uS, lie_stabilizer
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
                            column_sets, enumerate_closed)
-from helpers import (oracle_closed_count, oracle_invariant_dimension,
-                     pair_generators, random_closed_pairs)
+from helpers import (closed_subsets, oracle_closed_count,
+                     oracle_invariant_dimension, pair_generators,
+                     random_closed_pairs)
 
 BOUNDARY = frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)})
 
@@ -104,7 +105,7 @@ def test_criterion_3_stabilizer_suite():
     failures = []
     for n in (2, 3, 4):
         algebra = lie_algebra("A", n - 1)
-        for S in enumerate_closed(n):
+        for S in closed_subsets(n):
             p = build_point(S, "A", n - 1, alpha="minimal")
             rep = lie_stabilizer(p, algebra)
             full, _ = compare_uS(rep, S, "A", n - 1)
@@ -140,7 +141,7 @@ def test_criterion_4_minor_criterion_vs_derivation():
     mismatches = 0
     total = 0
     for n in (2, 3, 4):
-        for S in enumerate_closed(n):
+        for S in closed_subsets(n):
             cols = column_sets(S, "A", n - 1)
             mats = pair_generators(S)
             for size in range(1, n + 1):
@@ -163,7 +164,7 @@ def test_criterion_5_invariant_dimensions_vs_oracle():
     ok = (d1, d2) == (2, 4)
 
     swept = 0
-    for S in enumerate_closed(3):
+    for S in closed_subsets(3):
         mats = pair_generators(S)
         for d in (1, 2, 3):
             got = invariant_space(S, "A", 2, d).dimension
@@ -180,7 +181,7 @@ def test_criterion_6_generation_desk_scale():
     t0 = time.monotonic()
     ok = True
     refutations = 0
-    for S in enumerate_closed(2):
+    for S in closed_subsets(2):
         rep = generation_check(S, "A", 1, 4, slack=0, max_slack=1)
         ok = ok and rep.covered
     sl3_cases = [frozenset(), frozenset({(1, 2), (1, 3), (2, 3)}),
@@ -219,7 +220,7 @@ def test_criterion_8_wedge_coefficient_identity():
     mismatches = 0
     checked = 0
     signs = {1: 0, -1: 0}
-    for S in enumerate_closed(4):
+    for S in closed_subsets(4):
         cols = column_sets(S, "A", 3)
         for t in range(2, 5):
             for s in range(1, t):

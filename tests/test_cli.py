@@ -19,7 +19,8 @@ from usinv.exact import Q1
 from usinv.limits import cocharacter_grid
 from usinv.corpus import corpus_get, corpus_list, corpus_names
 from usinv.rootsys import parse_root
-from usinv.subsets import closed_subset_from_roots
+from usinv.subsets import ClosedSubset, closed_subset_from_roots
+from helpers import oracle_closed_count, oracle_closed_sets
 from test_golden import GOLDEN
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -488,6 +489,39 @@ def test_closed_enumerate_nonpositive_n_refused(capsys):
     # n = -2 used to report count 1
     assert _exit_code(["closed", "enumerate", "--n", "-2"]) == EXIT_USAGE
     assert _exit_code(["closed", "enumerate", "--n", "0"]) == EXIT_USAGE
+
+
+def test_closed_enumerate_cost_guard(capsys):
+    """n = 7 has 96,428 closed sets, past the default cap of 5000; the
+    refusal names the override."""
+    assert _exit_code(["closed", "enumerate", "--n", "7"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == ("usage error: closed sets for n=7 exceed the cap "
+                            "5000; raise it with USINV_CAP\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_enumerate_report_matches_brute_force(capsys, n):
+    """The report is the stdlib encoding of one built from the brute-force
+    closed sets through `ClosedSubset.to_json`, byte for byte."""
+    report = {
+        "schema": "usinv-report/1",
+        "command": ["closed", "enumerate", "--n", str(n)],
+        "exit_code": EXIT_PASS,
+        "results": {"n": n, "count": oracle_closed_count(n), "subsets": [
+            ClosedSubset(n, frozenset(ps)).to_json()
+            for ps in oracle_closed_sets(n)]},
+    }
+    code, out = _run_capture(capsys, ["closed", "enumerate", "--n", str(n)])
+    assert code == EXIT_PASS
+    # line by line: pytest's diff of two unequal strings of this length
+    # takes minutes
+    got = out.splitlines()
+    want = json.dumps(report, sort_keys=True, indent=2).splitlines()
+    assert out.endswith("}\n") and len(got) == len(want)
+    for k, line in enumerate(got):
+        assert line == want[k], k
 
 
 def test_invariants_degree_zero_refused(capsys):

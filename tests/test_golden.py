@@ -129,8 +129,8 @@ def _limit_sweep(family: str, rank: int, sets) -> list:
 
 def _closed_sets(n: int) -> list:
     return [["--n", str(n), "--pairs",
-             ",".join(f"{i}:{j}" for i, j in sorted(s.pairs))]
-            for s in enumerate_closed(n)]
+             ",".join(f"{i}:{j}" for i, j in pairs)]
+            for pairs in enumerate_closed(n)]
 
 
 def _root_sets(rank: int) -> list:

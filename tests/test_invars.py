@@ -13,9 +13,8 @@ from usinv.invars import (InvariantError, Minor, apply_derivation_poly,
                           is_invariant_minor, minor_poly,
                           principal_column_sets, principal_minors)
 from usinv.rootsys import parse_root
-from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
-                           column_sets, enumerate_closed)
-from helpers import (dense_derivation_image, dense_monomials,
+from usinv.subsets import ClosedSubset, closed_subset_from_roots, column_sets
+from helpers import (closed_subsets, dense_derivation_image, dense_monomials,
                      oracle_invariant_dimension, pair_generators,
                      polynomial_unipotent_invariants, random_rational_matrix)
 
@@ -106,7 +105,7 @@ def test_is_invariant_minor_examples():
 def test_criterion_matches_derivation():
     # combinatorial criterion == symbolic derivation test, all closed S, n<=3
     for n in (2, 3):
-        for S in enumerate_closed(n):
+        for S in closed_subsets(n):
             cols = column_sets(S, "A", n - 1)
             mats = pair_generators(S)
             for size in range(1, n + 1):
@@ -149,7 +148,7 @@ def test_principal_column_sets_so4():
 
 def test_principal_minors_pass_criterion():
     for n in (2, 3, 4):
-        for S in enumerate_closed(n):
+        for S in closed_subsets(n):
             cols = column_sets(S, "A", n - 1)
             for m in principal_minors(cols, tuple(range(1, n + 1))):
                 assert is_invariant_minor(m, cols)
@@ -175,7 +174,7 @@ def test_invariant_space_empty_subset():
 def test_invariant_space_matches_dense_oracle():
     # independent dense elimination oracle, SL_2 and SL_3 sweeps
     for n, dmax in ((2, 3), (3, 3)):
-        subs = enumerate_closed(n)
+        subs = closed_subsets(n)
         for S in subs:
             mats = pair_generators(S)
             for d in range(1, dmax + 1):
@@ -212,7 +211,7 @@ def test_invariant_equations_are_int(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "from_rows",
                         staticmethod(recording_build))
     monkeypatch.setattr(usinv.invars, "nullspace", recording_solve)
-    for S in enumerate_closed(4)[1::6]:
+    for S in closed_subsets(4)[1::6]:
         invariant_space(S, "A", 3, 2)
     assert len(seen) == 7 and all(m.entries for m in seen)
     assert all(type(v) is int for row in rows for v in row.values())

@@ -13,8 +13,9 @@ from usinv.points import (PointError, alpha_valid, build_point,
 from usinv.rootsys import (bilinear_form, lie_algebra, parse_root,
                            positive_roots)
 from usinv.subsets import (ClosedSubset, ColumnFamily, SubsetError,
-                           closed_subset_from_roots, enumerate_closed)
-from helpers import cofactor_det, oracle_roots_closed, transpose
+                           closed_subset_from_roots)
+from helpers import (closed_subsets, cofactor_det, oracle_roots_closed,
+                     transpose)
 
 
 def _poly_entries(rows):
@@ -82,7 +83,7 @@ def test_build_us_escaping_entry_is_self_check_failure(monkeypatch):
 
 
 def test_build_us_det_one_and_support():
-    for S in enumerate_closed(4):
+    for S in closed_subsets(4):
         u = build_us(S, "A", 3)
         assert cofactor_det(u.matrix) == GradedPoly.const(1)
         cols = u.column_family
@@ -117,7 +118,7 @@ def test_build_us_preserves_form_symbolically():
 def test_point_fixed_by_us_symbolically():
     # group-mode action of the symbolic chart fixes p_S exactly
     for n in (2, 3, 4):
-        for S in enumerate_closed(n):
+        for S in closed_subsets(n):
             u = build_us(S, "A", n - 1)
             p = build_point(S, "A", n - 1)
             moved = wedge_apply(u.matrix, p, mode="group")

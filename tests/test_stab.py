@@ -13,10 +13,9 @@ from usinv.rootsys import (flag_permutation, lie_algebra, parse_root,
                            positive_roots, root_subgroup_matrix)
 from usinv.stab import (StabilizerError, annihilates, compare_uS,
                         lie_stabilizer)
-from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
-                           enumerate_closed)
-from helpers import (is_strictly_triangular, oracle_roots_closed,
-                     pair_generators,
+from usinv.subsets import ClosedSubset, closed_subset_from_roots
+from helpers import (closed_subsets, is_strictly_triangular,
+                     oracle_roots_closed, pair_generators,
                      reference_compare_uS, tensor_stabilizer_dimension)
 
 
@@ -65,9 +64,9 @@ def test_weighted_reduction_matches_tensor_oracle():
     algebra2 = lie_algebra("A", 1)
     algebra3 = lie_algebra("A", 2)
     cases = []
-    for S in enumerate_closed(2):
+    for S in closed_subsets(2):
         cases.append((S, "A", 1, algebra2))
-    for S in enumerate_closed(3):
+    for S in closed_subsets(3):
         cases.append((S, "A", 2, algebra3))
     for S, family, rank, algebra in cases:
         n = S.n
@@ -91,7 +90,7 @@ def test_weighted_stabilizer_alpha_independent():
 
 def test_weighted_stabilizer_equals_us_all_n3():
     algebra = lie_algebra("A", 2)
-    for S in enumerate_closed(3):
+    for S in closed_subsets(3):
         p = build_point(S, "A", 2, alpha="minimal")
         rep = lie_stabilizer(p, algebra)
         full, nil = compare_uS(rep, S, "A", 2)
@@ -167,7 +166,7 @@ RANK2_BORELS = {"B": ("L1-L2", "L1+L2", "L1", "L2"),
 
 def test_basis_annihilates_reverified():
     # every matrix the batched self-check passed also passes on its own
-    cases = [(S, "A", 3) for S in enumerate_closed(4)]
+    cases = [(S, "A", 3) for S in closed_subsets(4)]
     for family, names in RANK2_BORELS.items():
         algebra = lie_algebra(family, 2)
         roots = [parse_root(x, algebra.n) for x in names]
@@ -197,7 +196,7 @@ def test_compare_uS_matches_matrix_entry_oracle():
     every nonzero limit of those points along the radius-1 cocharacter grid,
     whose stabilizers can be larger than u_S in either part."""
     cases = [(S, "A", n - 1, pair_generators(S))
-             for n in (2, 3, 4) for S in enumerate_closed(n)]
+             for n in (2, 3, 4) for S in closed_subsets(n)]
     for family in ("B", "C", "D"):
         pos = positive_roots(family, 2).positive_roots
         for size in range(len(pos) + 1):
@@ -252,8 +251,8 @@ def test_kernel_is_sparse_and_spans_the_basis():
     SL_4 set, and a seeded sample of closed SL_5 sets and of closed rank-3
     B/C/D root sets, plain and weighted."""
     rng = random.Random(19)
-    cases = [(S, "A", 3) for S in enumerate_closed(4)]
-    cases += [(S, "A", 4) for S in rng.sample(enumerate_closed(5), 25)]
+    cases = [(S, "A", 3) for S in closed_subsets(4)]
+    cases += [(S, "A", 4) for S in rng.sample(closed_subsets(5), 25)]
     for family in ("B", "C", "D"):
         pos = positive_roots(family, 3).positive_roots
         closed = [combo for size in range(1, len(pos) + 1)

@@ -12,8 +12,9 @@ from usinv.subsets import (ClosedSubset, ColumnFamily, SubsetError,
                            elementwise_less, enumerate_closed, is_closed,
                            pairs_from_roots, strongly_separated,
                            transitive_closure)
-from helpers import (oracle_closed_count, oracle_column_sets, oracle_is_closed,
-                     oracle_roots_closed, random_closed_pairs)
+from helpers import (closed_subsets, oracle_closed_count, oracle_closed_sets,
+                     oracle_column_sets, oracle_is_closed, oracle_roots_closed,
+                     random_closed_pairs)
 
 
 def test_is_closed_examples():
@@ -172,7 +173,7 @@ def test_closure_refuses_wrong_n_or_missing_roots():
 
 def test_column_sets_hereditary_all_enumerated():
     for n in (2, 3, 4, 5):
-        for S in enumerate_closed(n):
+        for S in closed_subsets(n):
             cols = column_sets(S, "A", n - 1)
             assert cols.is_hereditary()
             # exact round trip for type A
@@ -198,46 +199,68 @@ def test_enumerate_closed_counts():
     assert len(subs3) == 7
     assert len(subs3) == oracle_closed_count(3)
     # the only failing candidate at n=3 is {(1,2),(2,3)}
-    missing = [frozenset({(1, 2), (2, 3)})]
-    found = [s.pairs for s in subs3]
-    assert missing[0] not in found
+    assert ((1, 2), (2, 3)) not in subs3
     assert len(enumerate_closed(4)) == oracle_closed_count(4)
 
 
-def test_enumerate_closed_guard():
-    with pytest.raises(SubsetError):
+def test_enumerate_closed_guard(monkeypatch):
+    """The guard is the cost cap: n = 6 (4,824 sets) passes the default cap
+    of 5000, n = 7 (96,428) is refused, and a cap equal to the count passes.
+    It used to be a hard-coded n <= 6."""
+    assert len(enumerate_closed(6)) == 4824
+    with pytest.raises(SubsetError, match="exceed the cap 5000; raise it "
+                                          "with USINV_CAP"):
         enumerate_closed(7)
+    monkeypatch.setenv("USINV_CAP", "357")
+    assert len(enumerate_closed(5)) == 357
+    monkeypatch.setenv("USINV_CAP", "356")
+    with pytest.raises(SubsetError, match="cap 356"):
+        enumerate_closed(5)
+
+
+def test_enumerate_closed_guard_refuses_while_building():
+    """The sets of each row stage are counted as they are built, so an n far
+    past the cap is refused after a few stages, not after all n."""
+    with pytest.raises(SubsetError, match="n=1000000 exceed the cap"):
+        enumerate_closed(10 ** 6)
+
+
+def test_enumerate_closed_n7_under_raised_cap(monkeypatch):
+    """OEIS A006455 at n = 7, once USINV_CAP allows it."""
+    monkeypatch.setenv("USINV_CAP", "100000")
+    found = enumerate_closed(7)
+    assert len(found) == 96428
+    assert found[0] == () and len(found[-1]) == 21
 
 
 def test_enumerate_closed_matches_oracle_membership():
     for n in (3, 4):
-        enumerated = {s.pairs for s in enumerate_closed(n)}
+        enumerated = set(enumerate_closed(n))
         pairs = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
         for mask in range(1 << len(pairs)):
-            chosen = frozenset(pairs[b] for b in range(len(pairs)) if mask >> b & 1)
+            chosen = tuple(p for b, p in enumerate(pairs) if mask >> b & 1)
             assert (chosen in enumerated) == oracle_is_closed(n, chosen)
 
 
 def test_enumerate_closed_equals_brute_force_filter():
-    """Down-set extension returns exactly the brute-force filter over every
-    pair subset, in the same (size, lex) order; the counts are OEIS A006455."""
+    """Row-by-row extension returns exactly the brute-force filter over every
+    pair subset, as lex-sorted pair tuples in the same (size, lex) order; the
+    counts are OEIS A006455."""
     counts = []
     for n in range(1, 7):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        chosen = ([pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-                  for mask in range(1 << len(pairs)))
-        brute = sorted((ps for ps in chosen if oracle_is_closed(n, ps)),
-                       key=lambda ps: (len(ps), ps))
-        assert [s.sorted_pairs() for s in enumerate_closed(n)] == brute
-        counts.append(len(brute))
+        assert enumerate_closed(n) == oracle_closed_sets(n)
+        counts.append(len(oracle_closed_sets(n)))
     assert counts == [1, 2, 7, 40, 357, 4824]
 
 
 def test_enumeration_order_deterministic():
     subs = enumerate_closed(3)
-    sizes = [len(s.pairs) for s in subs]
+    sizes = [len(ps) for ps in subs]
     assert sizes == sorted(sizes)
-    assert subs[0].pairs == frozenset()
+    assert subs[0] == ()
+    assert all(type(ps) is tuple and list(ps) == sorted(set(ps))
+               and all(type(p) is tuple and 1 <= p[0] < p[1] <= 3 for p in ps)
+               for ps in subs)
 
 
 def test_random_closed_pairs_helper():
