@@ -22,11 +22,15 @@ Wedge tuples are strictly increasing and 1-based.  A Leibniz term replaces
 one factor of a sorted tuple, so its sign comes from the position where the
 new index is inserted; inversion counting remains only in `sort_wedge` and
 `apply_group`.
+
+The two policies every module shares live here too: `SelfCheckError` for a
+failed self-check, and `check_cost`, the one cost guard.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,6 +54,30 @@ def int_if_integral(c):
 class SelfCheckError(RuntimeError):
     """An internal self-check failed: a defect of the program, never of the
     input, so it is deliberately not a ValueError."""
+
+
+class CostError(ValueError):
+    """Estimated work over the cost cap, or a cap that is not a positive
+    integer: a usage error."""
+
+
+DEFAULT_CAP = 5000
+
+
+def check_cost(count: int, subject: str) -> None:
+    """The one cost guard: refuse `count` units of work, named by `subject`,
+    above the cap, DEFAULT_CAP unless USINV_CAP overrides it with a positive
+    integer; any other USINV_CAP is refused."""
+    text = os.environ.get("USINV_CAP") or str(DEFAULT_CAP)
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise CostError(f"USINV_CAP must be a positive integer, not {text!r}")
+    if count > cap:
+        raise CostError(f"{subject} exceed the cap {cap}; "
+                        f"raise it with USINV_CAP")
 
 
 def xvar(i: int, j: int) -> tuple:

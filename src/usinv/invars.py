@@ -10,48 +10,28 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, Q1, RowEchelon, SelfCheckError,
-                    SparseMatrix, column_support, mono_mul, nullspace,
-                    sort_wedge, xvar)
-from .rootsys import Root, lie_algebra, root_index
-from .subsets import ClosedSubset, ColumnFamily, column_sets
+                    SparseMatrix, check_cost, column_support, mono_mul,
+                    nullspace, sort_wedge, xvar)
+from .rootsys import lie_algebra
+from .subsets import (ClosedSubset, ColumnFamily, column_sets,
+                      subset_basis_indices)
 
 
 class InvariantError(ValueError):
     pass
 
 
-DEFAULT_CAP = 5000
-
-
-def cost_cap() -> int:
-    """The cap of every cost guard: DEFAULT_CAP unless USINV_CAP overrides it
-    with a positive integer; any other USINV_CAP is refused."""
-    text = os.environ.get("USINV_CAP") or str(DEFAULT_CAP)
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InvariantError(f"USINV_CAP must be a positive integer, "
-                             f"not {text!r}")
-    return cap
-
-
 def check_monomial_cap(n: int, d: int) -> None:
     """Refuse degree d in the n x n matrix coordinates when its monomials
-    outnumber `cost_cap()`; they are counted, not built, so nothing is
+    outnumber the cost cap; they are counted, not built, so nothing is
     solved before a refusal."""
     count = math.comb(n * n + d - 1, d)
-    cap = cost_cap()
-    if count > cap:
-        raise InvariantError(f"{count} monomials of degree {d} exceed "
-                             f"the cap {cap}; raise it with USINV_CAP")
+    check_cost(count, f"{count} monomials of degree {d}")
 
 
 def apply_derivation_poly(A: Matrix, f: GradedPoly) -> GradedPoly:
@@ -82,28 +62,6 @@ def derivation_terms(support: list, terms: dict) -> dict:
                 else:
                     out.pop(m2, None)
     return out
-
-
-def subset_roots(subset: ClosedSubset, family: str) -> list:
-    """The roots of S: each type A pair (i, j), in sorted order, read as the
-    root L_i - L_j; for B/C/D the roots S was built from."""
-    if family == "A":
-        roots = []
-        for (i, j) in subset.sorted_pairs():
-            v = [0] * subset.n
-            v[i - 1], v[j - 1] = 1, -1
-            roots.append(Root(tuple(v)))
-        return roots
-    if subset.source_roots is None:
-        raise InvariantError("B/C/D subsets need source roots")
-    return list(subset.source_roots)
-
-
-def subset_basis_indices(subset: ClosedSubset, family: str,
-                         rank: int) -> list:
-    """Indices in lie_algebra(family, rank) of the generators whose
-    derivations cut out the invariants of S."""
-    return [root_index(family, rank, r) for r in subset_roots(subset, family)]
 
 
 # ---------------------------------------------------------------------------

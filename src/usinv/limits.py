@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
-                    apply_group, column_support, xvar)
-from .invars import cost_cap
+                    apply_group, check_cost, column_support, xvar)
 from .points import (alpha_valid, build_point, default_index_set,
                      flag_prefix_sums)
 from .rootsys import ambient_dim, flag_permutation, lie_algebra
@@ -305,14 +304,11 @@ def cocharacter_grid(family: str, rank: int, radius: int):
     Radius 0 is refused: its grid holds only the zero cocharacter, whose
     limit is the point itself, so a screen over it screens no boundary.
     The grid walks (2 * radius + 1) ** rank heads (rank = n - 1 for type A),
-    counted before any curve is built and refused above `cost_cap()`."""
+    counted before any curve is built and refused above the cost cap."""
     if radius < 1:
         raise LimitError("radius must be at least 1")
     heads = (2 * radius + 1) ** rank
-    cap = cost_cap()
-    if heads > cap:
-        raise LimitError(f"{heads} cocharacter grid heads at radius {radius} "
-                         f"exceed the cap {cap}; raise it with USINV_CAP")
+    check_cost(heads, f"{heads} cocharacter grid heads at radius {radius}")
     n = ambient_dim(family, rank)
     out = []
     if family == "A":

@@ -20,9 +20,8 @@ from typing import Mapping, Optional, Sequence
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, SelfCheckError,
                     Summand, exp_nilpotent, frac_str, mat_mul, mat_substitute,
                     pvar)
-from .invars import subset_roots
 from .rootsys import ambient_dim, flag_permutation, lie_algebra, root_index
-from .subsets import ClosedSubset, ColumnFamily, column_sets
+from .subsets import ClosedSubset, ColumnFamily, column_sets, subset_roots
 
 
 class PointError(ValueError):

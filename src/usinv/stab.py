@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 from .exact import (Matrix, MultiVector, RowEchelon, SelfCheckError,
                     SparseMatrix, column_index, column_support, frac_str,
                     int_if_integral, leibniz, nullspace, wedge_apply)
-from .invars import subset_basis_indices
 from .points import flag_prefix_sums
 from .rootsys import MatrixLieData, positive_roots, root_index
-from .subsets import ClosedSubset
+from .subsets import ClosedSubset, subset_basis_indices
 
 
 class StabilizerError(ValueError):

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .exact import SelfCheckError
+from .exact import SelfCheckError, check_cost
 from .rootsys import (Root, ambient_dim, lie_algebra, positive_roots,
                       root_index)
 
@@ -107,6 +107,29 @@ def closed_subset_from_roots(family: str, rank: int,
     return ClosedSubset(n, closed.pairs, source_roots=tuple(roots))
 
 
+def subset_roots(subset: ClosedSubset, family: str) -> tuple:
+    """The roots of S: each type A pair (i, j), in sorted order, read as the
+    root L_i - L_j; for B/C/D the roots S was built from, refused with
+    SubsetError when S does not carry them."""
+    if family == "A":
+        roots = []
+        for (i, j) in subset.sorted_pairs():
+            v = [0] * subset.n
+            v[i - 1], v[j - 1] = 1, -1
+            roots.append(Root(tuple(v)))
+        return tuple(roots)
+    if subset.source_roots is None:
+        raise SubsetError(f"family {family} subsets need their roots")
+    return subset.source_roots
+
+
+def subset_basis_indices(subset: ClosedSubset, family: str,
+                         rank: int) -> list:
+    """Indices in lie_algebra(family, rank) of the generators whose
+    derivations cut out the invariants of S."""
+    return [root_index(family, rank, r) for r in subset_roots(subset, family)]
+
+
 def root_closure(roots: Sequence[Root], positive: Sequence[Root]) -> tuple:
     """Smallest superset of roots closed inside a root system: every sum of
     two members that is a positive root is a member.  The given roots come
@@ -168,9 +191,7 @@ def closure(subset: ClosedSubset, family: str, rank: int) -> ClosedSubset:
         if is_closed(n, subset.pairs):
             return subset
         return transitive_closure(n, subset.pairs)
-    roots = subset.source_roots
-    if roots is None:
-        raise SubsetError(f"family {family} subsets need their roots")
+    roots = subset_roots(subset, family)
     positive = positive_roots(family, rank).positive_roots
     for root in roots:
         if root not in positive:
@@ -205,14 +226,13 @@ def enumerate_closed(n: int) -> list:
     members, the mirror of a predecessor down-set, and its pairs go in front
     of those of the rows below, so every tuple is born sorted.  Rows i..n of
     a closed set are a closed set on {i..n}, so no stage outnumbers the
-    last: each stage is counted as it is built and refused with SubsetError
-    once it passes `cost_cap()`, so at most one row's extensions of one set
+    last: each stage is counted as it is built and refused with CostError
+    once it passes the cost cap, so at most one row's extensions of one set
     are built past the cap.
     """
     if n < 1:
         raise SubsetError("enumeration needs n >= 1")
-    from .invars import cost_cap  # invars imports this module
-    cap = cost_cap()
+    subject = f"closed sets for n={n}"
     # a set on rows i..n: (the successor bitmask of each row, row i first,
     # bit n - j standing for j; its pairs)
     sets = [((), ())]
@@ -230,9 +250,7 @@ def enumerate_closed(n: int) -> list:
                     head = heads[up] = tuple(
                         (i, j) for j in range(i + 1, n + 1) if up >> (n - j) & 1)
                 built.append(((up,) + succ, head + pairs))
-            if len(built) > cap:
-                raise SubsetError(f"closed sets for n={n} exceed the cap "
-                                  f"{cap}; raise it with USINV_CAP")
+            check_cost(len(built), subject)
         sets = built
     found = [pairs for _, pairs in sets]
     found.sort()

@@ -15,11 +15,13 @@ import usinv.stab
 from usinv.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE,
                        UsageError, _dumps, build_parser, main, parse_pairs,
                        run)
-from usinv.exact import Q1
+from usinv.exact import Q1, CostError
+from usinv.invars import check_monomial_cap
 from usinv.limits import cocharacter_grid
 from usinv.corpus import corpus_get, corpus_list, corpus_names
 from usinv.rootsys import parse_root
-from usinv.subsets import ClosedSubset, closed_subset_from_roots
+from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
+                           enumerate_closed)
 from helpers import oracle_closed_count, oracle_closed_sets
 from test_golden import GOLDEN
 
@@ -223,11 +225,21 @@ def test_max_slack_below_slack_refused(capsys):
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
 def test_invalid_monomial_cap_refused(monkeypatch, capsys, value):
-    """USINV_CAP=abc used to print only int()'s own message."""
+    """USINV_CAP=abc used to print only int()'s own message.  Every guarded
+    command refuses it the same way, and every guard raises CostError:
+    enumerate_closed and cocharacter_grid used to raise InvariantError."""
     monkeypatch.setenv("USINV_CAP", value)
-    assert _exit_code("invariants --n 2 --degree 1".split()) == EXIT_USAGE
-    assert (f"USINV_CAP must be a positive integer, not {value!r}"
-            in capsys.readouterr().err)
+    for command in ("invariants --n 2 --degree 1", "closed enumerate --n 3",
+                    "screen --n 3 --pairs 1:2 --radius 1"):
+        assert _exit_code(command.split()) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: USINV_CAP must be a positive integer, "
+            f"not {value!r}\n")
+    for guard, args in ((enumerate_closed, (3,)),
+                        (cocharacter_grid, ("A", 2, 1)),
+                        (check_monomial_cap, (2, 1))):
+        with pytest.raises(CostError, match="USINV_CAP must be a positive"):
+            guard(*args)
 
 
 def test_monomial_cap_override(monkeypatch, capsys):
@@ -485,6 +497,16 @@ def test_screen_grid_cap_refused_before_any_curve(monkeypatch, capsys):
         EXIT_PASS)
 
 
+def _assert_same_lines(got: str, want: str, command: str) -> None:
+    """Fail on the first line where two report texts differ, naming the
+    command: pytest's diff of two unequal strings of report length (about
+    2 MB for `closed enumerate --n 6`) takes minutes."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for k, (line, expected) in enumerate(zip(got_lines, want_lines), 1):
+        assert line == expected, f"{command}: line {k}"
+    assert len(got_lines) == len(want_lines), f"{command}: line count"
+
+
 def test_closed_enumerate_nonpositive_n_refused(capsys):
     # n = -2 used to report count 1
     assert _exit_code(["closed", "enumerate", "--n", "-2"]) == EXIT_USAGE
@@ -515,13 +537,8 @@ def test_closed_enumerate_report_matches_brute_force(capsys, n):
     }
     code, out = _run_capture(capsys, ["closed", "enumerate", "--n", str(n)])
     assert code == EXIT_PASS
-    # line by line: pytest's diff of two unequal strings of this length
-    # takes minutes
-    got = out.splitlines()
-    want = json.dumps(report, sort_keys=True, indent=2).splitlines()
-    assert out.endswith("}\n") and len(got) == len(want)
-    for k, line in enumerate(got):
-        assert line == want[k], k
+    want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _assert_same_lines(out, want, f"closed enumerate --n {n}")
 
 
 def test_invariants_degree_zero_refused(capsys):
@@ -736,8 +753,10 @@ def test_dumps_matches_json_dumps(monkeypatch, capsys):
         run(command.split())
     capsys.readouterr()
     assert len(reports) == len(GOLDEN)
-    for report in reports:
-        assert _dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+    for (command, _), report in zip(GOLDEN, reports):
+        _assert_same_lines(_dumps(report),
+                           json.dumps(report, sort_keys=True, indent=2),
+                           command)
 
 
 def test_dumps_refuses_inexact_values():

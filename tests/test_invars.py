@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import usinv.invars
-from usinv.exact import Q0, GradedPoly, SparseMatrix, eij, xvar
+from usinv.exact import Q0, CostError, GradedPoly, SparseMatrix, eij, xvar
 from usinv.invars import (InvariantError, Minor, apply_derivation_poly,
                           generation_check, invariant_space,
                           is_invariant_minor, minor_poly,
@@ -231,14 +231,14 @@ def test_invariant_space_monotone_in_subset():
 def test_invariant_space_cap(monkeypatch):
     S = ClosedSubset(3, frozenset())
     monkeypatch.setenv("USINV_CAP", "10")
-    with pytest.raises(InvariantError, match="USINV_CAP"):
+    with pytest.raises(CostError, match="USINV_CAP"):
         invariant_space(S, "A", 2, 3)
 
 
 def test_cap_env_override(monkeypatch):
     S = ClosedSubset(3, frozenset())
     monkeypatch.setenv("USINV_CAP", "10")
-    with pytest.raises(InvariantError):
+    with pytest.raises(CostError):
         invariant_space(S, "A", 2, 3)
     monkeypatch.setenv("USINV_CAP", "100000")
     assert invariant_space(S, "A", 2, 2).dimension == 45

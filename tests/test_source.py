@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import graphlib
 import re
 from pathlib import Path
 
@@ -159,3 +160,112 @@ def test_closedness_decided_in_subsets_only():
                  path.read_text(encoding="utf-8")))
              for path in sorted(SRC.glob("*.py")) if path.name != "subsets.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def function_imports(source: str) -> list:
+    """Lines of the import statements inside a function body, nested
+    functions included."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_function_imports_are_caught():
+    source = ("import os\n"
+              "def f():\n    from .b import g\n    return g\n"
+              "class C:\n    def m(self):\n"
+              "        def inner():\n            import json\n")
+    assert function_imports(source) == [3, 8]
+
+
+def test_no_import_inside_a_function():
+    found = {path.name: function_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def relative_imports(source: str, modules: set) -> set:
+    """The package modules a module imports relatively, imports inside
+    functions included; `from . import x` names the module x when there is
+    one, else the package's __init__."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name if alias.name in modules else "__init__"
+                          for alias in node.names}
+    return found
+
+
+def import_graph() -> dict:
+    modules = {path.stem for path in SRC.glob("*.py")}
+    return {path.stem: relative_imports(path.read_text(encoding="utf-8"),
+                                        modules)
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_relative_imports_are_read():
+    source = ("import os\nfrom .exact import Q1\n"
+              "from . import __version__, subsets\n"
+              "def g():\n    from .invars import h\n")
+    assert relative_imports(source, {"subsets"}) == {
+        "exact", "__init__", "subsets", "invars"}
+
+
+def test_package_import_graph_is_acyclic():
+    """`graphlib` refuses a cycle; `subsets` and `invars` used to import
+    each other, one of them inside a function."""
+    graph = import_graph()
+    assert graph["exact"] == set()
+    list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def test_only_cli_imports_invars():
+    graph = import_graph()
+    assert sorted(name for name, deps in graph.items()
+                  if "invars" in deps) == ["cli"]
+
+
+def cost_policy_names(source: str) -> list:
+    """Lines of a module that read `os.environ` or hold a string constant,
+    docstrings left out and f-string parts included, that names USINV_CAP."""
+    tree = ast.parse(source)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(
+                    first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "environ":
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "USINV_CAP" in node.value
+              and id(node) not in docstrings):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_cost_policy_names_are_caught():
+    source = ('"""USINV_CAP in a docstring does not count."""\n'
+              "import os\n"
+              "def f(cap):\n"
+              '    """Nor here: USINV_CAP."""\n'
+              '    text = os.environ.get("X")\n'
+              '    raise ValueError(f"{cap}; raise it with USINV_CAP")\n')
+    assert cost_policy_names(source) == [5, 6]
+
+
+def test_cost_policy_read_in_one_module():
+    """The environment and the name USINV_CAP are read in exact.py only,
+    next to the one cost check; invars, limits and subsets each used to
+    write their own refusal naming it."""
+    found = {path.name: cost_policy_names(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, lines in found.items() if lines] == ["exact.py"]

@@ -6,14 +6,14 @@ import itertools
 import random
 
 from usinv.exact import MultiVector, eij, spans_equal, zeros
-from usinv.invars import InvariantError, subset_basis_indices
 from usinv.limits import Cocharacter, cochar_limit, cocharacter_grid
 from usinv.points import build_point
 from usinv.rootsys import (flag_permutation, lie_algebra, parse_root,
                            positive_roots, root_subgroup_matrix)
 from usinv.stab import (StabilizerError, annihilates, compare_uS,
                         lie_stabilizer)
-from usinv.subsets import ClosedSubset, closed_subset_from_roots
+from usinv.subsets import (ClosedSubset, SubsetError,
+                           closed_subset_from_roots, subset_basis_indices)
 from helpers import (closed_subsets, is_strictly_triangular,
                      oracle_roots_closed, pair_generators,
                      reference_compare_uS, tensor_stabilizer_dimension)
@@ -185,7 +185,7 @@ def test_basis_annihilates_reverified():
 
 def test_subset_basis_indices_bcd_requires_roots():
     S = ClosedSubset(4, frozenset({(1, 2)}))
-    with pytest.raises(InvariantError):
+    with pytest.raises(SubsetError, match="family D subsets need their roots"):
         subset_basis_indices(S, "D", 2)
 
 

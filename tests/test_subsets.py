@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from usinv.exact import SelfCheckError
+from usinv.exact import CostError, SelfCheckError
 from usinv.rootsys import Root, parse_root, positive_roots
 from usinv.subsets import (ClosedSubset, ColumnFamily, SubsetError,
                            closed_subset_from_roots, closure, column_sets,
@@ -208,20 +208,20 @@ def test_enumerate_closed_guard(monkeypatch):
     of 5000, n = 7 (96,428) is refused, and a cap equal to the count passes.
     It used to be a hard-coded n <= 6."""
     assert len(enumerate_closed(6)) == 4824
-    with pytest.raises(SubsetError, match="exceed the cap 5000; raise it "
-                                          "with USINV_CAP"):
+    with pytest.raises(CostError, match="exceed the cap 5000; raise it "
+                                        "with USINV_CAP"):
         enumerate_closed(7)
     monkeypatch.setenv("USINV_CAP", "357")
     assert len(enumerate_closed(5)) == 357
     monkeypatch.setenv("USINV_CAP", "356")
-    with pytest.raises(SubsetError, match="cap 356"):
+    with pytest.raises(CostError, match="cap 356"):
         enumerate_closed(5)
 
 
 def test_enumerate_closed_guard_refuses_while_building():
     """The sets of each row stage are counted as they are built, so an n far
     past the cap is refused after a few stages, not after all n."""
-    with pytest.raises(SubsetError, match="n=1000000 exceed the cap"):
+    with pytest.raises(CostError, match="n=1000000 exceed the cap"):
         enumerate_closed(10 ** 6)
 
 
