@@ -24,7 +24,10 @@ new index is inserted; inversion counting remains only in `sort_wedge` and
 `apply_group`.
 
 The two policies every module shares live here too: `SelfCheckError` for a
-failed self-check, and `check_cost`, the one cost guard.
+failed self-check, and `check_cost`, the one cost guard.  So do `Value` and
+`Frozen`, the bases of the package's records: the package defines no
+dataclass, because importing `dataclasses` (which loads `inspect`) and
+running its generated code took longer than a `stab` command computes.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -78,6 +80,54 @@ def check_cost(count: int, subject: str) -> None:
     if count > cap:
         raise CostError(f"{subject} exceed the cap {cap}; "
                         f"raise it with USINV_CAP")
+
+
+class Value:
+    """Equality and repr by the attributes named in `_fields`; an instance
+    of another class is never equal.  Unhashable, as a mutable record."""
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class Frozen(Value):
+    """An immutable `Value`.  `__init__` stores the fields, in `_fields`
+    order, and their tuple, which equality and hashing read, so an instance
+    hashes as that tuple; assigning or deleting any attribute afterwards
+    raises AttributeError."""
+
+    def __init__(self, *values):
+        # object.__setattr__ keeps the attributes in the instance's inline
+        # values; writing to self.__dict__ would make every later read slower
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def xvar(i: int, j: int) -> tuple:
@@ -341,22 +391,25 @@ def sort_wedge(idx: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
-@dataclass
-class Summand:
+class Summand(Value):
     """One wedge-power component: degree k, label, sparse coefficients, and
     the power alpha of the flag tensor it is tagged with (0 on a point with
     no flag levels; the power is stored, never expanded)."""
-    k: int
-    label: str
-    comps: dict  # strictly increasing tuple -> Fraction | GradedPoly
-    alpha: int = 0
+
+    _fields = ("k", "label", "comps", "alpha")
+
+    def __init__(self, k: int, label: str, comps: dict, alpha: int = 0):
+        self.k = k
+        self.label = label
+        # strictly increasing tuple -> Fraction | GradedPoly
+        self.comps = comps
+        self.alpha = alpha
 
     def is_zero(self) -> bool:
         return not any(self.comps.values())
 
 
-@dataclass
-class MultiVector:
+class MultiVector(Value):
     """Element of a labeled direct sum of wedge powers of C^n: the plain
     point p_S, or with flag levels the weighted point p_{S,alpha}.
 
@@ -364,11 +417,16 @@ class MultiVector:
     coefficient of e_{sigma(1)} ^ ... ^ e_{sigma(k)}, each 1 on a fresh point
     and possibly 0 on a limit of one.
     """
-    n: int
-    summands: list  # list[Summand]
-    sigma: tuple = ()
-    levels: int = 0
-    flag_coeffs: list = field(default_factory=list)  # length == levels
+
+    _fields = ("n", "summands", "sigma", "levels", "flag_coeffs")
+
+    def __init__(self, n: int, summands: list, sigma: tuple = (),
+                 levels: int = 0, flag_coeffs: Optional[list] = None):
+        self.n = n
+        self.summands = summands  # list[Summand]
+        self.sigma = sigma
+        self.levels = levels
+        self.flag_coeffs = [] if flag_coeffs is None else flag_coeffs
 
     def is_zero(self) -> bool:
         return (all(s.is_zero() for s in self.summands)
@@ -535,13 +593,14 @@ def leibniz(index: list, comps: Mapping) -> dict:
 # sparse exact linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SparseMatrix:
     """Sparse matrix over the rationals with 0-based (row, col) keys; each
     entry is an int when integral and a Fraction otherwise."""
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
+
+    def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
+        self.rows = rows
+        self.cols = cols
+        self.entries = {} if entries is None else entries
 
     @staticmethod
     def from_rows(rows: Sequence[Mapping[int, "int | Fraction"]],

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, Q1, RowEchelon, SelfCheckError,
-                    SparseMatrix, check_cost, column_support, mono_mul,
-                    nullspace, sort_wedge, xvar)
+from .exact import (Frozen, GradedPoly, Matrix, Q1, RowEchelon,
+                    SelfCheckError, SparseMatrix, check_cost, column_support,
+                    mono_mul, nullspace, sort_wedge, xvar)
 from .rootsys import lie_algebra
 from .subsets import (ClosedSubset, ColumnFamily, column_sets,
                       subset_basis_indices)
@@ -86,13 +85,12 @@ def minor_poly(columns: Sequence[int], rows: Sequence[int]) -> GradedPoly:
     return out
 
 
-@dataclass(frozen=True)
-class Minor:
-    columns: tuple
-    rows: tuple
+class Minor(Frozen):
+    _fields = ("columns", "rows")
 
-    def __post_init__(self):
-        if len(self.columns) != len(self.rows) or not self.columns:
+    def __init__(self, columns: tuple, rows: tuple):
+        super().__init__(columns, rows)
+        if len(columns) != len(rows) or not columns:
             raise InvariantError("invalid minor shape")
 
     @property
@@ -140,11 +138,11 @@ def principal_minors(cols: ColumnFamily, sigma: tuple,
 # graded invariant spaces
 # ---------------------------------------------------------------------------
 
-@dataclass
 class InvariantSpace:
-    degree: int
-    basis: list            # homogeneous GradedPoly of that degree
-    dimension: int
+    def __init__(self, degree: int, basis: list, dimension: int):
+        self.degree = degree
+        self.basis = basis  # homogeneous GradedPoly of that degree
+        self.dimension = dimension
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "dimension": self.dimension,
@@ -200,15 +198,18 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
 # generation check
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GenerationReport:
-    degree: int
-    slack_requested: int
-    slack_used: int
-    covered: bool
-    undecided: bool
-    graded: list = field(default_factory=list)    # per-degree dicts
-    witnesses: list = field(default_factory=list)  # uncovered invariants, repr
+    def __init__(self, degree: int, slack_requested: int, slack_used: int,
+                 covered: bool, undecided: bool, graded: Optional[list] = None,
+                 witnesses: Optional[list] = None):
+        self.degree = degree
+        self.slack_requested = slack_requested
+        self.slack_used = slack_used
+        self.covered = covered
+        self.undecided = undecided
+        self.graded = [] if graded is None else graded  # per-degree dicts
+        # uncovered invariants, repr
+        self.witnesses = [] if witnesses is None else witnesses
 
     def to_json(self) -> dict:
         return {

@@ -11,12 +11,11 @@ errors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, Summand,
-                    apply_group, check_cost, column_support, xvar)
+from .exact import (Frozen, GradedPoly, Matrix, MultiVector, Q0, Q1,
+                    Summand, apply_group, check_cost, column_support, xvar)
 from .points import (alpha_valid, build_point, default_index_set,
                      flag_prefix_sums)
 from .rootsys import ambient_dim, flag_permutation, lie_algebra
@@ -28,18 +27,17 @@ class LimitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cocharacter:
+class Cocharacter(Frozen):
     """Integer diagonal weight vector; the curve diag(t^{w_1},...,t^{w_n}).
 
     Family constraints: A needs weight sum 0; B/C/D need w_{l+i} = -w_i
     (and w_n = 0 for B).  Any other family is refused.
     """
-    family: str
-    rank: int
-    weights: tuple
 
-    def __post_init__(self):
+    _fields = ("family", "rank", "weights")
+
+    def __init__(self, family: str, rank: int, weights: tuple):
+        super().__init__(family, rank, weights)
         w = self.weights
         if any(not isinstance(x, int) for x in w):
             raise LimitError("weights must be integers")
@@ -59,12 +57,15 @@ class Cocharacter:
             raise LimitError(f"unsupported family {self.family!r}")
 
 
-@dataclass
 class LimitOutcome:
-    kind: str                       # "converges" | "diverges"
-    value: Optional[MultiVector] = None   # the limit point when finite
-    ledger: dict = field(default_factory=dict)   # component key -> t-exponent
-    negative_witness: Optional[tuple] = None     # (key, exponent) when divergent
+    def __init__(self, kind: str, value: Optional[MultiVector] = None,
+                 ledger: Optional[dict] = None,
+                 negative_witness: Optional[tuple] = None):
+        self.kind = kind    # "converges" | "diverges"
+        self.value = value  # the limit point when finite
+        # component key -> t-exponent
+        self.ledger = {} if ledger is None else ledger
+        self.negative_witness = negative_witness  # (key, exponent), divergent
 
     def to_json(self) -> dict:
         out = {
@@ -190,13 +191,17 @@ def cochar_limit(p: MultiVector, lam: Cocharacter, u: Optional[Matrix] = None,
 # diagonal exponent inequalities
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ExponentLemmaReport:
-    hypotheses_met: bool
-    weighted_sum: Optional[int] = None          # E = sum of prefix sums
-    sum_positive: Optional[bool] = None         # E > 0
-    twice_plus: Optional[bool] = None           # 2E + w_j > 0 for all j
-    twice_minus: Optional[bool] = None          # 2E - w_j > 0 for all j
+    def __init__(self, hypotheses_met: bool,
+                 weighted_sum: Optional[int] = None,
+                 sum_positive: Optional[bool] = None,
+                 twice_plus: Optional[bool] = None,
+                 twice_minus: Optional[bool] = None):
+        self.hypotheses_met = hypotheses_met
+        self.weighted_sum = weighted_sum  # E = sum of prefix sums
+        self.sum_positive = sum_positive  # E > 0
+        self.twice_plus = twice_plus      # 2E + w_j > 0 for all j
+        self.twice_minus = twice_minus    # 2E - w_j > 0 for all j
 
     @property
     def all_hold(self) -> bool:
@@ -266,17 +271,22 @@ def wedge_coefficient_check(cols: ColumnFamily, s: int, t: int):
 # codimension screening
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ScreenReport:
-    family: str
-    rank: int
-    radius: int
-    us_dimension: int
-    total: int = 0
-    diverged: int = 0
-    converged: int = 0
-    histogram: dict = field(default_factory=dict)   # excess -> count
-    witnesses: list = field(default_factory=list)   # excess-1 cocharacters
+    def __init__(self, family: str, rank: int, radius: int,
+                 us_dimension: int, total: int = 0, diverged: int = 0,
+                 converged: int = 0, histogram: Optional[dict] = None,
+                 witnesses: Optional[list] = None):
+        self.family = family
+        self.rank = rank
+        self.radius = radius
+        self.us_dimension = us_dimension
+        self.total = total
+        self.diverged = diverged
+        self.converged = converged
+        # excess -> count
+        self.histogram = {} if histogram is None else histogram
+        # excess-1 cocharacters
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, SelfCheckError,
@@ -50,17 +49,20 @@ def _param_names(count: int) -> list:
     return names[:count]
 
 
-@dataclass
 class UnipotentPattern:
     """Symbolic product of root-subgroup exponentials, one fresh parameter
     per root, with 1's on the diagonal."""
-    n: int
-    family: str
-    rank: int
-    matrix: Matrix                 # entries are GradedPoly
-    params: tuple                  # parameter names, in product order
-    free_positions: tuple          # leading (i, j) per parameter
-    column_family: ColumnFamily
+
+    def __init__(self, n: int, family: str, rank: int, matrix: Matrix,
+                 params: tuple, free_positions: tuple,
+                 column_family: ColumnFamily):
+        self.n = n
+        self.family = family
+        self.rank = rank
+        self.matrix = matrix                  # entries are GradedPoly
+        self.params = params                  # parameter names, product order
+        self.free_positions = free_positions  # leading (i, j) per parameter
+        self.column_family = column_family
 
     def to_json(self) -> dict:
         return {

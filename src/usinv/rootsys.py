@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .exact import Matrix, Q1, RowEchelon, column_support, eij, zeros
+from .exact import (Frozen, Matrix, Q1, RowEchelon, column_support, eij,
+                    zeros)
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -24,17 +24,18 @@ class RootSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Frozen):
     """Integer coefficient vector over the diagonal functionals L_1..L_n.
 
     For B/C/D only the first l coordinates are used (L_{l+i} = -L_i on the
     torus); forms L_i - L_j, L_i + L_j, L_i and 2L_i are all representable.
     """
-    coeffs: tuple
 
-    def __post_init__(self):
-        if not any(self.coeffs):
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        super().__init__(coeffs)
+        if not any(coeffs):
             raise RootSystemError("zero vector is not a root")
 
     def __neg__(self) -> "Root":
@@ -125,12 +126,11 @@ def parse_root(text: str, n: int) -> Root:
     return Root(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    family: str
-    rank: int
-    n: int
-    positive_roots: tuple
+class RootSystem(Frozen):
+    _fields = ("family", "rank", "n", "positive_roots")
+
+    def __init__(self, family: str, rank: int, n: int, positive_roots: tuple):
+        super().__init__(family, rank, n, positive_roots)
 
 
 def ambient_dim(family: str, rank: int) -> int:
@@ -259,21 +259,20 @@ def flag_permutation(family: str, rank: int) -> tuple:
     return tuple(order)
 
 
-@dataclass(frozen=True)
-class MatrixLieData:
+class MatrixLieData(Frozen):
     """A Lie algebra presented by a matrix basis.
 
     basis spans the algebra; torus_basis is the diagonal part; form is the
     invariant bilinear form when one exists.  supports holds the
-    column_support of each basis element, computed once here.
+    column_support of each basis element, computed once here; it is not a
+    field, so equality and repr leave it out.
     """
-    n: int
-    basis: tuple
-    torus_basis: tuple
-    form: Optional[Matrix] = None
-    supports: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    _fields = ("n", "basis", "torus_basis", "form")
+
+    def __init__(self, n: int, basis: tuple, torus_basis: tuple,
+                 form: Optional[Matrix] = None):
+        super().__init__(n, basis, torus_basis, form)
         named = [(f"basis element {k}", B) for k, B in enumerate(self.basis)]
         named += [(f"torus basis element {k}", T)
                   for k, T in enumerate(self.torus_basis)]

@@ -13,7 +13,6 @@ tensor expansion at small alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .exact import (Matrix, MultiVector, RowEchelon, SelfCheckError,
@@ -28,17 +27,20 @@ class StabilizerError(ValueError):
     pass
 
 
-@dataclass
 class StabilizerReport:
-    dimension: int
-    basis: list                      # matrices spanning {A in g : A.p = 0}
-    algebra_dim: int
-    # nonzero coordinates {index: value} of each basis matrix in the algebra
-    # basis; not serialized
-    kernel: list = field(repr=False)
-    equals_uS: Optional[bool] = None
-    nilpotent_part_equals_uS: Optional[bool] = None
-    us_dimension: Optional[int] = None
+    def __init__(self, dimension: int, basis: list, algebra_dim: int,
+                 kernel: list, equals_uS: Optional[bool] = None,
+                 nilpotent_part_equals_uS: Optional[bool] = None,
+                 us_dimension: Optional[int] = None):
+        self.dimension = dimension
+        self.basis = basis  # matrices spanning {A in g : A.p = 0}
+        self.algebra_dim = algebra_dim
+        # nonzero coordinates {index: value} of each basis matrix in the
+        # algebra basis; not serialized
+        self.kernel = kernel
+        self.equals_uS = equals_uS
+        self.nilpotent_part_equals_uS = nilpotent_part_equals_uS
+        self.us_dimension = us_dimension
 
     def to_json(self) -> dict:
         out = {

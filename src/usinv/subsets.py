@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .exact import SelfCheckError, check_cost
+from .exact import Frozen, SelfCheckError, check_cost
 from .rootsys import (Root, ambient_dim, lie_algebra, positive_roots,
                       root_index)
 
@@ -33,16 +32,15 @@ def _check_pairs(n: int, pairs: Iterable[tuple]) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ClosedSubset:
+class ClosedSubset(Frozen):
     """A set of ordered index pairs (i, j), optionally remembering the B/C/D
     roots it came from."""
-    n: int
-    pairs: frozenset
-    source_roots: Optional[tuple] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _check_pairs(self.n, self.pairs))
+    _fields = ("n", "pairs", "source_roots")
+
+    def __init__(self, n: int, pairs: frozenset,
+                 source_roots: Optional[tuple] = None):
+        super().__init__(n, _check_pairs(n, pairs), source_roots)
 
     @property
     def size(self) -> int:
@@ -148,14 +146,14 @@ def root_closure(roots: Sequence[Root], positive: Sequence[Root]) -> tuple:
                                 if c in closed and c not in given)
 
 
-@dataclass(frozen=True)
-class ColumnFamily:
+class ColumnFamily(Frozen):
     """Column sets S_1..S_n of a closed S, so j is in S_j and the family is
     hereditary (a in S_b and b in S_c imply a in S_c), or a self-check fails."""
-    n: int
-    sets: tuple  # tuple of frozensets, index j-1 -> S_j
 
-    def __post_init__(self):
+    _fields = ("n", "sets")
+
+    def __init__(self, n: int, sets: tuple):
+        super().__init__(n, sets)  # sets: tuple of frozensets, S_j at j-1
         for j, s in enumerate(self.sets, start=1):
             if j not in s:
                 raise SelfCheckError(f"{j} missing from S_{j}")

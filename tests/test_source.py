@@ -2,7 +2,10 @@
 
 import ast
 import graphlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,3 +272,42 @@ def test_cost_policy_read_in_one_module():
     found = {path.name: cost_policy_names(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert [name for name, lines in found.items() if lines] == ["exact.py"]
+
+
+def absolute_imports(source: str) -> set:
+    """Top-level names of the modules a module imports absolutely, imports
+    inside functions included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_absolute_imports_are_read():
+    source = ("import os.path, json\nfrom dataclasses import field\n"
+              "from .exact import Q1\ndef f():\n    import inspect\n")
+    assert absolute_imports(source) == {"os", "json", "dataclasses",
+                                        "inspect"}
+
+
+def test_no_module_imports_dataclasses():
+    """Importing `dataclasses` loads `inspect` and ten more modules, and its
+    generated methods run at class creation: together the largest part of a
+    fresh process's start-up, which `usinv` pays on every command."""
+    found = sorted(path.name for path in SRC.glob("*.py")
+                   if "dataclasses" in absolute_imports(
+                       path.read_text(encoding="utf-8")))
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, usinv.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
