@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (Frozen, GradedPoly, Matrix, Q1, RowEchelon,
                     SelfCheckError, SparseMatrix, check_cost, column_support,
-                    mono_mul, nullspace, sort_wedge, xvar)
+                    nullspace, sort_wedge, xvar)
 from .rootsys import lie_algebra
 from .subsets import (ClosedSubset, ColumnFamily, column_sets,
                       subset_basis_indices)
@@ -43,24 +44,54 @@ def derivation_terms(support: list, terms: dict) -> dict:
     factor x_{ij} of a monomial becomes A_{kj} x_{ik}, accumulated into one
     term dict.  Integral coefficients and support values give int terms."""
     out: dict = {}
+    columns = [dict(col) for col in support]
     for mono, c in terms.items():
-        for pos, (v, e) in enumerate(mono):
-            if v[0] != "x":
-                continue
-            i, j = v[1], v[2]
-            if e == 1:
-                rest = mono[:pos] + mono[pos + 1:]
+        for e, m2, a in _factor_images(mono, columns):
+            s = out.get(m2, 0) + c * e * a
+            if s:
+                out[m2] = s
             else:
-                rest = mono[:pos] + ((v, e - 1),) + mono[pos + 1:]
-            ce = c * e
-            for k, a in support[j - 1]:
-                m2 = mono_mul(rest, ((xvar(i, k), 1),))
-                s = out.get(m2, 0) + ce * a
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
+                out.pop(m2, None)
     return out
+
+
+def derivation_rows(supports: list, monos: list) -> list:
+    """Equations D_A f = 0 on f = sum_c f_c monos[c] for a nonempty list of
+    generator supports, in one pass over the monomials: one row {c: coeff}
+    per (generator, image monomial) in that order, c ascending, no zero row."""
+    columns = [{} for _ in supports[0]]  # j - 1 -> {k: [(a, A_kj)]}
+    for a, support in enumerate(supports):
+        for col, entries in zip(columns, support):
+            for k, val in entries:
+                col.setdefault(k, []).append((a, val))
+    rows: dict = {}  # image monomial -> {a: row}
+    for c, mono in enumerate(monos):
+        for e, m2, gens in _factor_images(mono, columns):
+            per = rows.setdefault(m2, {})
+            for a, val in gens:
+                row = per.setdefault(a, {})
+                s = row.get(c, 0) + e * val
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+    keys = sorted(rows)
+    return [rows[m2][a] for a in range(len(supports)) for m2 in keys
+            if rows[m2].get(a)]
+
+
+def _factor_images(mono: tuple, columns: list):
+    """(e, mono / x_{ij} * x_{ik}, columns[j - 1][k]) for each factor x_{ij}^e
+    of mono and k in columns[j - 1], by sorted insertion; p's are constants."""
+    for pos, (v, e) in enumerate(mono):
+        if v[0] != "x" or not columns[v[2] - 1]:
+            continue
+        rest = mono[:pos] + (((v, e - 1),) if e > 1 else ()) + mono[pos + 1:]
+        for k, item in columns[v[2] - 1].items():
+            w = ("x", v[1], k)
+            at = bisect_left(rest, (w,))
+            had = rest[at][1] if at < len(rest) and rest[at][0] == w else 0
+            yield e, rest[:at] + ((w, had + 1),) + rest[at + (had > 0):], item
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +144,8 @@ def principal_column_sets(cols: ColumnFamily, sigma: tuple,
     lexicographically."""
     n = cols.n
     index_set = tuple(index_set) if index_set is not None else tuple(range(1, n + 1))
-    seen = set()
-    for m in range(1, n + 1):
-        seen.add(frozenset(sigma[:m]))
-    for j in index_set:
-        seen.add(frozenset(cols[j]))
+    seen = {frozenset(sigma[:m]) for m in range(1, n + 1)}
+    seen.update(frozenset(cols[j]) for j in index_set)
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
@@ -125,13 +153,9 @@ def principal_minors(cols: ColumnFamily, sigma: tuple,
                      index_set: Optional[Sequence[int]] = None) -> list:
     """Every principal invariant minor: each principal column set paired
     with all row subsets of matching size."""
-    n = cols.n
-    out = []
-    for cset in principal_column_sets(cols, sigma, index_set):
-        csorted = tuple(sorted(cset))
-        for rows in itertools.combinations(range(1, n + 1), len(cset)):
-            out.append(Minor(csorted, rows))
-    return out
+    return [Minor(tuple(sorted(cset)), rows)
+            for cset in principal_column_sets(cols, sigma, index_set)
+            for rows in itertools.combinations(range(1, cols.n + 1), len(cset))]
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +189,9 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
                     d: int) -> InvariantSpace:
     """Basis of degree-d polynomials killed by every generator derivation.
 
-    Generator supports are integral, so the equations are assembled in int
-    and each kernel vector is re-checked on its own coefficients; only a
+    The equations come from `derivation_rows`, one pass over the monomials
+    in int (generator supports are integral); an empty S builds no rows.
+    Each kernel vector is re-checked on its own coefficients, and only a
     checked vector becomes a GradedPoly.
     """
     if d < 1:
@@ -175,16 +200,12 @@ def invariant_space(subset: ClosedSubset, family: str, rank: int,
     check_monomial_cap(subset.n, d)
     monos = degree_monomials(subset.n, d)
     indices = subset_basis_indices(subset, family, rank)
-    supports = []
+    supports, rows = [], []
     if indices:  # an empty S builds no algebra: SL_1 has none
         algebra = lie_algebra(family, rank)
         supports = [algebra.supports[k] for k in indices]
-    rows: dict = {}
-    for a, support in enumerate(supports):
-        for c, mono in enumerate(monos):
-            for m2, coeff in derivation_terms(support, {mono: 1}).items():
-                rows.setdefault((a, m2), {})[c] = coeff
-    matrix = SparseMatrix.from_rows([rows[k] for k in sorted(rows)], len(monos))
+        rows = derivation_rows(supports, monos)
+    matrix = SparseMatrix.from_rows(rows, len(monos))
     basis = []
     for vec in nullspace(matrix):
         terms = {monos[c]: v for c, v in enumerate(vec) if v}

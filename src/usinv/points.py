@@ -13,7 +13,6 @@ flag order sigma and flag levels come from its family and rank alone.
 from __future__ import annotations
 
 import itertools
-import string
 from typing import Mapping, Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, SelfCheckError,
@@ -42,7 +41,7 @@ def product_order(subset: ClosedSubset, family: str, rank: int) -> list:
 
 
 def _param_names(count: int) -> list:
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     names = list(letters[:count])
     for k in range(len(letters), count):
         names.append(f"t{k + 1}")

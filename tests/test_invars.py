@@ -7,16 +7,18 @@ from fractions import Fraction
 import pytest
 
 import usinv.invars
-from usinv.exact import Q0, CostError, GradedPoly, SparseMatrix, eij, xvar
+from usinv.exact import (Q0, Q1, CostError, GradedPoly, SparseMatrix,
+                         column_support, eij, pvar, xvar)
 from usinv.invars import (InvariantError, Minor, apply_derivation_poly,
-                          generation_check, invariant_space,
-                          is_invariant_minor, minor_poly,
+                          degree_monomials, derivation_rows, generation_check,
+                          invariant_space, is_invariant_minor, minor_poly,
                           principal_column_sets, principal_minors)
-from usinv.rootsys import parse_root
+from usinv.rootsys import parse_root, positive_roots, root_subgroup_matrix
 from usinv.subsets import ClosedSubset, closed_subset_from_roots, column_sets
 from helpers import (closed_subsets, dense_derivation_image, dense_monomials,
-                     oracle_invariant_dimension, pair_generators,
-                     polynomial_unipotent_invariants, random_rational_matrix)
+                     oracle_invariant_dimension, oracle_roots_closed,
+                     pair_generators, polynomial_unipotent_invariants,
+                     random_rational_matrix)
 
 
 def x(i, j):
@@ -79,6 +81,64 @@ def test_apply_derivation_poly_matches_dense_oracle():
                         want[key] = want.get(key, Q0) + c * v
                 assert apply_derivation_poly(A, f).terms == {
                     k: v for k, v in want.items() if v}
+    # x_{12}^2 x_{21} with column 2 of A empty, alone and times a parameter:
+    # both the exponent-2 factor and p pass through D_A unchanged
+    n = 3
+    A = [[Q0 if c == 1 else a for c, a in enumerate(row)]
+         for row in random_rational_matrix(n, rng)]
+    A[0][0] = Fraction(-7, 3)
+    mono = (0, 2, 0, 1, 0, 0, 0, 0, 0)
+    f = GradedPoly({_mono_key(mono, n): 1})
+    got = apply_derivation_poly(A, f)
+    assert got.terms == {_mono_key(m, n): c for m, c in
+                         dense_derivation_image(A, mono, n).items()}
+    assert got.terms and all(dict(m)[xvar(1, 2)] == 2 for m in got.terms)
+    p = GradedPoly.var(pvar("a"))
+    assert apply_derivation_poly(A, p * f) == p * got
+
+
+def _oracle_rows(mats, n, d):
+    """Rows of `derivation_rows` for the dense generator matrices, built by
+    `dense_derivation_image` on exponent tuples: keyed (generator, image
+    monomial), sorted, each with its nonzero entries by ascending column."""
+    monos = [tuple(dict(m).get(xvar(v // n + 1, v % n + 1), 0)
+                   for v in range(n * n)) for m in degree_monomials(n, d)]
+    rows: dict = {}
+    for a, A in enumerate(mats):
+        for c, mono in enumerate(monos):
+            for image, coeff in dense_derivation_image(A, mono, n).items():
+                rows.setdefault((a, _mono_key(image, n)), {})[c] = coeff
+    return [list(rows[key].items()) for key in sorted(rows)]
+
+
+def test_derivation_rows_match_dense_oracle():
+    """The one-pass equation rows against the dense derivation, entry for
+    entry and in row order: every closed SL_3 set at d <= 3, SL_4 set at
+    d <= 2 and B_2, C_2 root set at d <= 2 (the empty set has no generator
+    and builds no rows), and a diagonal generator whose images of x11 x12
+    cancel, so that no row of its image is kept."""
+    cases = [(pair_generators(S), n, dmax)
+             for n, dmax in ((3, 3), (4, 2)) for S in closed_subsets(n)]
+    for family in ("B", "C"):
+        pos = positive_roots(family, 2).positive_roots
+        n = len(root_subgroup_matrix(family, 2, pos[0]))
+        cases += [([root_subgroup_matrix(family, 2, r) for r in combo], n, 2)
+                  for size in range(len(pos) + 1)
+                  for combo in itertools.combinations(pos, size)
+                  if oracle_roots_closed(combo, pos)]
+    diag = [[Q1, Q0], [Q0, -Q1]]
+    cases.append(([diag, eij(2, 1, 2)], 2, 3))
+    assert len(cases) == 7 + 40 + 12 + 12 + 1  # closed SL_3, SL_4, B_2, C_2
+    for mats, n, dmax in cases:
+        if not mats:
+            continue
+        supports = [column_support(A) for A in mats]
+        for d in range(1, dmax + 1):
+            got = derivation_rows(supports, degree_monomials(n, d))
+            assert [list(row.items()) for row in got] == _oracle_rows(
+                mats, n, d), (mats, d)
+    x11x12 = ((xvar(1, 1), 1), (xvar(1, 2), 1))
+    assert derivation_rows([column_support(diag)], [x11x12]) == []
 
 
 def test_minor_poly_convention():
