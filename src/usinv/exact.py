@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, exterior algebra,
 and sparse linear algebra on one incremental reduced row echelon form.
+Polynomial substitution, which no command needs, is in `statements`.
 
 `MultiVector` is the one point type: a labeled direct sum of wedge powers.
 The plain point p_S has no flag levels; the weighted point p_{S,alpha} adds
@@ -251,28 +252,6 @@ class GradedPoly:
             e >>= 1
         return res
 
-    def substitute(self, assignment: Mapping[tuple, "GradedPoly | Fraction | int"]) -> "GradedPoly":
-        """Substitute polynomials or constants for variables."""
-        res = GradedPoly()
-        for m, c in self.terms.items():
-            term = GradedPoly.const(c)
-            for v, e in m:
-                if v in assignment:
-                    term = term * GradedPoly.coerce(assignment[v]) ** e
-                else:
-                    term = term * GradedPoly({((v, e),): Q1})
-            res = res + term
-        return res
-
-    def single_linear_parameter(self) -> tuple | None:
-        """If the polynomial is c*v for a single variable v, return v."""
-        if len(self.terms) != 1:
-            return None
-        (mono, _), = self.terms.items()
-        if len(mono) == 1 and mono[0][1] == 1:
-            return mono[0][0]
-        return None
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -354,11 +333,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 def mat_is_zero(A: Matrix) -> bool:
     return not any(c for row in A for c in row)
-
-
-def mat_substitute(A: Matrix, assignment: Mapping) -> Matrix:
-    return [[e.substitute(assignment) if isinstance(e, GradedPoly) else e
-             for e in row] for row in A]
 
 
 def exp_nilpotent(X: Matrix, scale: Coeff = Q1) -> Matrix:

@@ -35,7 +35,14 @@ def check_monomial_cap(n: int, d: int) -> None:
 
 
 def apply_derivation_poly(A: Matrix, f: GradedPoly) -> GradedPoly:
-    """D_A f with D_A = sum_{i,j,k} A_{kj} x_{ik} d/dx_{ij}."""
+    """D_A f with D_A = sum_{i,j,k} A_{kj} x_{ik} d/dx_{ij}; a variable
+    x_{ij} of f outside the n x n matrix A raises ValueError."""
+    n = len(A)
+    for mono in f.terms:
+        for v, _ in mono:
+            if v[0] == "x" and not (1 <= v[1] <= n and 1 <= v[2] <= n):
+                raise ValueError(f"variable x[{v[1]},{v[2]}] lies outside "
+                                 f"the {n} x {n} matrix A")
     return GradedPoly(derivation_terms(column_support(A), f.terms))
 
 

@@ -1,6 +1,6 @@
-"""One-parameter degeneration engine: monomial-curve limits, the diagonal
-exponent inequalities, the upper-triangular wedge coefficient identity, and
-codimension screening over cocharacter grids.
+"""One-parameter degeneration engine: monomial-curve limits and codimension
+screening over cocharacter grids.  The diagonal exponent inequalities and the
+upper-triangular wedge coefficient identity are checked in `statements`.
 
 Limits are taken along monomial curves lambda(t) = diag(t^{w_1},...,t^{w_n}),
 optionally conjugated by constant unipotent matrices; every coefficient is an
@@ -11,16 +11,15 @@ errors.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exact import (Frozen, GradedPoly, Matrix, MultiVector, Q0, Q1,
-                    Summand, apply_group, check_cost, column_support, xvar)
+from .exact import (Frozen, Matrix, MultiVector, Q0, Summand, apply_group,
+                    check_cost, column_support)
 from .points import (alpha_valid, build_point, default_index_set,
                      flag_prefix_sums)
 from .rootsys import ambient_dim, flag_permutation, lie_algebra
 from .stab import lie_stabilizer
-from .subsets import ClosedSubset, ColumnFamily
+from .subsets import ClosedSubset
 
 
 class LimitError(ValueError):
@@ -185,86 +184,6 @@ def cochar_limit(p: MultiVector, lam: Cocharacter, u: Optional[Matrix] = None,
         return LimitOutcome("diverges", ledger=ledger,
                             negative_witness=negative)
     return LimitOutcome("converges", value, ledger)
-
-
-# ---------------------------------------------------------------------------
-# diagonal exponent inequalities
-# ---------------------------------------------------------------------------
-
-class ExponentLemmaReport:
-    def __init__(self, hypotheses_met: bool,
-                 weighted_sum: Optional[int] = None,
-                 sum_positive: Optional[bool] = None,
-                 twice_plus: Optional[bool] = None,
-                 twice_minus: Optional[bool] = None):
-        self.hypotheses_met = hypotheses_met
-        self.weighted_sum = weighted_sum  # E = sum of prefix sums
-        self.sum_positive = sum_positive  # E > 0
-        self.twice_plus = twice_plus      # 2E + w_j > 0 for all j
-        self.twice_minus = twice_minus    # 2E - w_j > 0 for all j
-
-    @property
-    def all_hold(self) -> bool:
-        return bool(self.hypotheses_met and self.sum_positive
-                    and self.twice_plus and self.twice_minus)
-
-
-def exponent_lemma_check(w: Sequence[int],
-                         sigma: Optional[tuple] = None) -> ExponentLemmaReport:
-    """Monomial shadow of the weighted diagonal product inequalities.
-
-    Hypotheses: every prefix sum of w in sigma-order is >= 0 and some entry
-    is positive.  Conclusions, as strict exponent positivity: E > 0,
-    2E + w_j > 0 and 2E - w_j > 0 for every j, where E is the sum of the
-    prefix sums (the exponent of the weighted diagonal product)."""
-    n = len(w)
-    sigma = sigma or tuple(range(1, n + 1))
-    prefixes = flag_prefix_sums(dict(enumerate(w, start=1)), sigma, n)
-    if any(pp < 0 for pp in prefixes) or not any(x > 0 for x in w):
-        return ExponentLemmaReport(hypotheses_met=False)
-    E = sum(prefixes)
-    return ExponentLemmaReport(
-        hypotheses_met=True,
-        weighted_sum=E,
-        sum_positive=E > 0,
-        twice_plus=all(2 * E + x > 0 for x in w),
-        twice_minus=all(2 * E - x > 0 for x in w),
-    )
-
-
-# ---------------------------------------------------------------------------
-# wedge coefficient identity for constrained triangular matrices
-# ---------------------------------------------------------------------------
-
-def wedge_coefficient_check(cols: ColumnFamily, s: int, t: int):
-    """For symbolic upper-triangular b vanishing on the column-set positions,
-    the coefficient of e_s ^ (wedge of S_t minus t) in (wedge of S_t).b is
-    epsilon * b_{st} * prod of b_{ii} over S_t minus t.
-
-    Returns (holds, epsilon) with epsilon the sign sorting the index tuple."""
-    n = cols.n
-    if not (1 <= s < t <= n):
-        raise LimitError("need s < t within range")
-    st = cols[t]
-    if s in st:
-        raise LimitError("s must lie outside S_t")
-    b = [[GradedPoly() for _ in range(n)] for _ in range(n)]
-    for i in range(1, n + 1):
-        b[i - 1][i - 1] = GradedPoly.var(xvar(i, i))
-        for j in range(i + 1, n + 1):
-            if i not in cols[j] - {j}:
-                b[i - 1][j - 1] = GradedPoly.var(xvar(i, j))
-    source = tuple(sorted(st))
-    image = apply_group(column_support(b), {source: Q1})
-    rest = sorted(st - {t})
-    target = tuple(sorted([s] + rest))
-    eps = (-1) ** sum(1 for a in rest if a > s)
-    expected = GradedPoly.var(xvar(s, t))
-    for i in rest:
-        expected = expected * GradedPoly.var(xvar(i, i))
-    expected = expected * Fraction(eps)
-    actual = GradedPoly.coerce(image.get(target, Q0))
-    return actual == expected, eps
 
 
 # ---------------------------------------------------------------------------

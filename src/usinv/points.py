@@ -1,5 +1,6 @@
 """Symbolic U_S matrices, wedge-embedding points, and the exponent
-conditions on the weight vector alpha.
+conditions on the weight vector alpha; the SO parameter property of the U_S
+chart is checked in `statements`.
 
 There is one point type, `exact.MultiVector`.  The plain point p_S is the
 direct sum of the wedges of the column sets S_j; the weighted point
@@ -15,9 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Optional, Sequence
 
-from .exact import (GradedPoly, Matrix, MultiVector, Q0, Q1, SelfCheckError,
-                    Summand, exp_nilpotent, frac_str, mat_mul, mat_substitute,
-                    pvar)
+from .exact import (GradedPoly, Matrix, MultiVector, Q1, SelfCheckError,
+                    Summand, exp_nilpotent, frac_str, mat_mul, pvar)
 from .rootsys import ambient_dim, flag_permutation, lie_algebra, root_index
 from .subsets import ClosedSubset, ColumnFamily, column_sets, subset_roots
 
@@ -89,36 +89,6 @@ def build_us(subset: ClosedSubset, family: str, rank: int) -> UnipotentPattern:
             raise SelfCheckError(f"entry ({i},{j}) escapes the column sets")
     return UnipotentPattern(subset.n, family, rank, M, tuple(names),
                             tuple(lead for lead, _ in order), cols)
-
-
-def so_parameter_property(u: UnipotentPattern) -> bool:
-    """Zeroing all entries off the (i, i+l) diagonal that the column sets
-    allow must force the (i, i+l) entries to vanish.
-
-    Solved triangularly: repeatedly zero any parameter standing alone
-    linearly in such an entry.
-    """
-    if u.family not in ("B", "D"):
-        raise PointError("property applies to families B and D only")
-    l = u.rank
-    cols = u.column_family
-    visible = [(i, j) for j in range(1, u.n + 1) for i in sorted(cols[j])
-               if j != i and j != i + l]
-    special = [(i, i + l) for i in range(1, l + 1)]
-    M = [row[:] for row in u.matrix]
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in visible:
-            e = M[i - 1][j - 1]
-            if isinstance(e, GradedPoly):
-                v = e.single_linear_parameter()
-                if v is not None:
-                    M = mat_substitute(M, {v: Q0})
-                    changed = True
-    if any(M[i - 1][j - 1] for (i, j) in visible):
-        return False
-    return not any(M[i - 1][j - 1] for (i, j) in special)
 
 
 def default_index_set(family: str, rank: int) -> tuple:

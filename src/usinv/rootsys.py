@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from typing import Optional
 
 from .exact import (Frozen, Matrix, Q1, RowEchelon, column_support, eij,
@@ -87,42 +88,17 @@ class Root(Frozen):
 
 
 def parse_root(text: str, n: int) -> Root:
-    """Parse names like 'L1-L2', 'L1+L2', '2L1', 'L3'."""
-    coeffs = [0] * n
+    """Parse names like 'L1-L2', 'L1+L2', '2L1', 'L3', spaces removed: terms
+    [0-9]*L[0-9]+ joined by signs, the first sign optional; anything else is
+    refused."""
     token = text.replace(" ", "")
-    sign = 1
-    i = 0
-    while i < len(token):
-        ch = token[i]
-        if ch == "+":
-            sign = 1
-            i += 1
-            continue
-        if ch == "-":
-            sign = -1
-            i += 1
-            continue
-        mult = 1
-        j = i
-        while j < len(token) and token[j].isdigit():
-            j += 1
-        if j > i:
-            mult = int(token[i:j])
-            i = j
-        if i >= len(token) or token[i] != "L":
-            raise RootSystemError(f"cannot parse root {text!r}")
-        i += 1
-        j = i
-        while j < len(token) and token[j].isdigit():
-            j += 1
-        if j == i:
-            raise RootSystemError(f"cannot parse root {text!r}")
-        idx = int(token[i:j])
-        if not 1 <= idx <= n:
+    if not re.fullmatch(r"[+-]?[0-9]*L[0-9]+([+-][0-9]*L[0-9]+)*", token):
+        raise RootSystemError(f"cannot parse root {text!r}")
+    coeffs = [0] * n
+    for sign, mult, idx in re.findall(r"([+-]?)([0-9]*)L([0-9]+)", token):
+        if not 1 <= int(idx) <= n:
             raise RootSystemError(f"index out of range in root {text!r}")
-        coeffs[idx - 1] += sign * mult
-        sign = 1
-        i = j
+        coeffs[int(idx) - 1] += (-1 if sign == "-" else 1) * int(mult or 1)
     return Root(tuple(coeffs))
 
 

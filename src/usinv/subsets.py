@@ -1,5 +1,5 @@
-"""Closed subsets of positive roots, transitive closure, column sets, and the
-strongly-separated test.
+"""Closed subsets of positive roots, transitive closure, enumeration and
+column sets; the strongly-separated test is in `statements`.
 
 Pairs are always stored against the ambient SL_n index set; B/C/D roots map
 to the entry pattern of their root matrices, saturated once.  `closure` alone
@@ -255,23 +255,3 @@ def enumerate_closed(n: int) -> list:
     found.sort(key=len)
     return found
 
-
-def elementwise_less(a: Iterable[int], b: Iterable[int]) -> bool:
-    """a <e b: every element of a is below every element of b (vacuous if
-    either side is empty)."""
-    a, b = set(a), set(b)
-    if not a or not b:
-        return True
-    return max(a) < min(b)
-
-
-def strongly_separated(family_of_sets: Sequence[Iterable[int]]) -> bool:
-    """Every pair (C1, C2) has elementwise comparable differences."""
-    sets = [frozenset(s) for s in family_of_sets]
-    if any(not s for s in sets):
-        raise SubsetError("sets must be nonempty")
-    for c1, c2 in itertools.combinations(sets, 2):
-        d1, d2 = c1 - c2, c2 - c1
-        if not (elementwise_less(d1, d2) or elementwise_less(d2, d1)):
-            return False
-    return True

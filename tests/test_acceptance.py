@@ -10,14 +10,15 @@ import time
 
 from usinv.cli import run as cli_run
 from usinv.corpus import corpus_names
-from usinv.exact import GradedPoly, mat_substitute, pvar
+from usinv.exact import GradedPoly, pvar
 from usinv.invars import (Minor, apply_derivation_poly, generation_check,
                           invariant_space, is_invariant_minor)
-from usinv.limits import (Cocharacter, cochar_limit, exponent_lemma_check,
-                          grosshans_screen, wedge_coefficient_check)
+from usinv.limits import Cocharacter, cochar_limit, grosshans_screen
 from usinv.points import build_point, build_us, minimal_alpha
 from usinv.rootsys import lie_algebra, parse_root
 from usinv.stab import compare_uS, lie_stabilizer
+from usinv.statements import (exponent_lemma_check, mat_substitute,
+                              wedge_coefficient_check)
 from usinv.subsets import (ClosedSubset, closed_subset_from_roots,
                            column_sets, enumerate_closed)
 from helpers import (closed_subsets, oracle_closed_count,

@@ -31,6 +31,10 @@ def test_derivation_examples():
     det2 = minor_poly([1, 2], [1, 2])
     assert apply_derivation_poly(e12, det2) == 0
     assert apply_derivation_poly(eij(3, 1, 3), x(2, 1)) == 0
+    # a variable outside the rows or the columns of A is refused
+    for i, j in ((3, 2), (1, 3)):
+        with pytest.raises(ValueError, match=rf"x\[{i},{j}\].*2 x 2"):
+            apply_derivation_poly(e12, x(i, j))
 
 
 def test_derivation_leibniz():

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from usinv.exact import MultiVector, identity
 from usinv.limits import (Cocharacter, LimitError, cochar_limit,
-                          cocharacter_grid, exponent_lemma_check,
-                          grosshans_screen, wedge_coefficient_check)
+                          cocharacter_grid, grosshans_screen)
 from usinv.points import build_point
 from usinv.rootsys import lie_algebra
+from usinv.statements import exponent_lemma_check, wedge_coefficient_check
 from usinv.subsets import ClosedSubset, column_sets
 from helpers import minor, random_closed_pairs
 

@@ -6,12 +6,13 @@ import pytest
 
 import usinv.points
 from usinv.exact import (GradedPoly, Q1, SelfCheckError, mat_is_zero, mat_mul,
-                         mat_substitute, pvar, wedge_apply)
+                         pvar, wedge_apply)
 from usinv.points import (PointError, alpha_valid, build_point,
                           build_us, default_index_set, flag_levels,
-                          minimal_alpha, so_parameter_property)
+                          minimal_alpha)
 from usinv.rootsys import (bilinear_form, lie_algebra, parse_root,
                            positive_roots)
+from usinv.statements import mat_substitute, so_parameter_property
 from usinv.subsets import (ClosedSubset, ColumnFamily, SubsetError,
                            closed_subset_from_roots)
 from helpers import (closed_subsets, cofactor_det, oracle_roots_closed,

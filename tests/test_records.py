@@ -6,11 +6,11 @@ import pytest
 
 from usinv.exact import MultiVector, SparseMatrix, Summand
 from usinv.invars import GenerationReport, Minor
-from usinv.limits import (Cocharacter, ExponentLemmaReport, LimitOutcome,
-                          ScreenReport)
+from usinv.limits import Cocharacter, LimitOutcome, ScreenReport
 from usinv.rootsys import (MatrixLieData, Root, RootSystem, lie_algebra,
                            positive_roots)
 from usinv.stab import StabilizerReport
+from usinv.statements import ExponentLemmaReport
 from usinv.subsets import ClosedSubset, ColumnFamily
 
 

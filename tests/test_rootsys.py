@@ -140,6 +140,14 @@ def test_parse_root_rejects_junk():
         parse_root("L9", 4)
     with pytest.raises(RootSystemError):
         parse_root("X1", 4)
+    # signed terms [0-9]*L[0-9]+ only: no trailing or doubled sign, no
+    # juxtaposed terms
+    for name in ("L1-", "L1L2", "L1+-L2", "L1++L2", "-", "", "2L", "L",
+                 "L1*L2", "L\u00b2"):
+        with pytest.raises(RootSystemError, match="cannot parse root"):
+            parse_root(name, 4)
+    with pytest.raises(RootSystemError, match="zero vector"):
+        parse_root("0L1", 4)
 
 
 def test_flag_permutation():

@@ -90,22 +90,35 @@ def test_no_unused_imports_in_package():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-# Functions and methods no module of the package refers to, each kept for
-# the reason given: a layer `bench/tracer.py` wraps by name, a statement of
-# the paper an acceptance criterion checks, another paper statement, or a
-# hook argparse calls.
+def command_modules() -> list:
+    """Every module of the package but `statements`, which holds the paper
+    statements only tests check and which no module imports."""
+    return sorted(path for path in SRC.glob("*.py")
+                  if path.stem != "statements")
+
+
+# Functions and methods no command module refers to, each kept for the
+# reason given: a layer `bench/tracer.py` wraps by name, the minor criterion
+# an acceptance criterion checks, or a hook argparse calls.
 UNREFERENCED_KEPT = {
     "annihilates": "tracer layer",
     "apply_derivation_poly": "tracer layer",
     "spans_equal": "tracer layer",
     "is_invariant_minor": "acceptance criterion 4",
-    "all_hold": "acceptance criterion 7",
-    "exponent_lemma_check": "acceptance criterion 7",
-    "wedge_coefficient_check": "acceptance criterion 8",
-    "so_parameter_property": "paper statement",
-    "strongly_separated": "paper statement",
     "error": "argparse error hook",
 }
+
+
+def _reads(nodes) -> set:
+    """Every name and attribute read in the given nodes' subtrees."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+    return found
 
 
 def unreferenced_functions(sources: list) -> list:
@@ -114,13 +127,10 @@ def unreferenced_functions(sources: list) -> list:
     called by the language and exempt."""
     defined, read = set(), set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(node.name)
-            elif isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        tree = ast.parse(source)
+        defined |= {node.name for node in ast.walk(tree) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        read |= _reads([tree])
     return sorted(name for name in defined - read
                   if not (name.startswith("__") and name.endswith("__")))
 
@@ -136,9 +146,96 @@ def test_unreferenced_functions_are_caught():
 
 
 def test_every_function_is_referenced_in_package():
-    sources = [path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))]
+    sources = [path.read_text(encoding="utf-8") for path in command_modules()]
     assert unreferenced_functions(sources) == sorted(UNREFERENCED_KEPT)
+
+
+def unreached_functions(sources: list, entries: set) -> list:
+    """Functions and methods defined in the given module sources that no
+    chain of name reads reaches from the entry functions or from the code
+    that runs at import: module and class bodies, decorators and default
+    values.  A reached function reaches every function or method of each
+    name its body reads, nested functions included.  Dunder methods are
+    called by the language, so they count as reached."""
+    bodies: dict = {}  # name -> the function nodes of that name
+    start = set(entries)
+    for source in sources:
+        todo = list(ast.parse(source).body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bodies.setdefault(node.name, []).append(node)
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    start.add(node.name)
+                start |= _reads(node.decorator_list + node.args.defaults
+                                + [d for d in node.args.kw_defaults if d])
+            elif isinstance(node, ast.ClassDef):
+                todo += node.body
+                start |= _reads(node.bases + node.keywords
+                                + node.decorator_list)
+            else:
+                start |= _reads([node])
+    reached, todo = set(), start & bodies.keys()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in bodies[name]:
+            todo |= (_reads(node.body) & bodies.keys()) - reached
+    return sorted(bodies.keys() - reached)
+
+
+def test_unreached_functions_are_caught():
+    """`only_from_orphan` is referenced, so only reachability flags it."""
+    first = ("class C:\n"
+             "    def __eq__(self, other):\n        return self.key()\n"
+             "    def key(self):\n        return 0\n"
+             "    def used(self):\n        return helper()\n"
+             "    def unused(self):\n        return 0\n"
+             "TABLE = {'k': tabled}\n")
+    second = ("def main():\n    return C().used()\n"
+              "def helper(x=default()):\n    return x\n"
+              "def default():\n    return 1\n"
+              "def tabled():\n    return 2\n"
+              "def orphan():\n    return only_from_orphan()\n"
+              "def only_from_orphan():\n    return 3\n")
+    assert unreached_functions([first, second], {"main"}) == [
+        "only_from_orphan", "orphan", "unused"]
+
+
+def cli_closure() -> list:
+    """The package modules `import usinv.cli` loads: the package's
+    __init__, cli, and every module they import, directly or not."""
+    graph = import_graph()
+    found, todo = set(), {"__init__", "cli"}
+    while todo:
+        name = todo.pop()
+        found.add(name)
+        todo |= graph[name] - found
+    return sorted(found)
+
+
+# Functions and methods of cli's import closure that no command reaches,
+# each kept for the reason given.
+UNREACHED_KEPT = {
+    "annihilates": "tracer layer",
+    "apply_derivation_poly": "tracer layer",
+    "spans_equal": "tracer layer",
+    "wedge_apply": "reached only from the tracer layer annihilates",
+    "is_invariant_minor": "acceptance criterion 4",
+    "error": "argparse error hook",
+}
+
+
+def test_every_function_in_cli_closure_is_reached():
+    """Every function of the modules `import usinv.cli` loads is reached
+    from `main`, `run`, `build_parser` or import-time code, so no command
+    compiles code only tests run."""
+    modules = cli_closure()
+    assert "statements" not in modules
+    sources = [(SRC / f"{name}.py").read_text(encoding="utf-8")
+               for name in modules]
+    assert unreached_functions(sources, {"main", "run", "build_parser"}) == (
+        sorted(UNREACHED_KEPT))
 
 
 def referenced_names(source: str) -> set:
@@ -216,6 +313,15 @@ def test_relative_imports_are_read():
               "def g():\n    from .invars import h\n")
     assert relative_imports(source, {"subsets"}) == {
         "exact", "__init__", "subsets", "invars"}
+
+
+def test_no_module_imports_statements():
+    """The paper statements only tests check stay out of every command's
+    import closure."""
+    graph = import_graph()
+    assert graph["statements"]
+    assert sorted(name for name, deps in graph.items()
+                  if "statements" in deps) == []
 
 
 def test_package_import_graph_is_acyclic():
@@ -305,10 +411,12 @@ def test_no_module_imports_dataclasses():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Nor `string`, which a fresh interpreter does not load either: its
-    import costs about a millisecond for one constant."""
+    import costs about a millisecond for one constant; nor
+    `usinv.statements`, which no command runs, though it imports."""
     code = ("import sys, usinv.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'string'}"
-            " & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'string',"
+            " 'usinv.statements'} & set(sys.modules)))\n"
+            "import usinv.statements")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)

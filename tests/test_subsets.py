@@ -7,10 +7,10 @@ import pytest
 
 from usinv.exact import CostError, SelfCheckError
 from usinv.rootsys import Root, parse_root, positive_roots
+from usinv.statements import elementwise_less, strongly_separated
 from usinv.subsets import (ClosedSubset, ColumnFamily, SubsetError,
                            closed_subset_from_roots, closure, column_sets,
-                           elementwise_less, enumerate_closed, is_closed,
-                           pairs_from_roots, strongly_separated,
+                           enumerate_closed, is_closed, pairs_from_roots,
                            transitive_closure)
 from helpers import (closed_subsets, oracle_closed_count, oracle_closed_sets,
                      oracle_column_sets, oracle_is_closed, oracle_roots_closed,
