@@ -182,14 +182,6 @@ class GradedPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), Q0)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.const(other)
@@ -726,14 +718,9 @@ def spans_equal(vectors_a: Iterable[Mapping], vectors_b: Iterable[Mapping]) -> b
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def frac_str(c: Coeff) -> str:
+def frac_str(c: "int | Fraction") -> str:
     if type(c) is int:
         return f"{c}/1"
-    if isinstance(c, GradedPoly):
-        if c.is_constant():
-            c = c.constant_value()
-        else:
-            return repr(c)
     # int and Fraction both carry numerator and denominator
     return f"{c.numerator}/{c.denominator}"
 

@@ -17,7 +17,7 @@ import itertools
 from typing import Mapping, Optional, Sequence
 
 from .exact import (GradedPoly, Matrix, MultiVector, Q1, SelfCheckError,
-                    Summand, exp_nilpotent, frac_str, mat_mul, pvar)
+                    Summand, exp_nilpotent, mat_mul, pvar)
 from .rootsys import ambient_dim, flag_permutation, lie_algebra, root_index
 from .subsets import ClosedSubset, ColumnFamily, column_sets, subset_roots
 
@@ -69,8 +69,7 @@ class UnipotentPattern:
             "family": self.family,
             "params": list(self.params),
             "free_positions": [list(p) for p in self.free_positions],
-            "matrix": [[repr(e) if isinstance(e, GradedPoly) else frac_str(e)
-                        for e in row] for row in self.matrix],
+            "matrix": [[repr(e) for e in row] for row in self.matrix],
         }
 
 

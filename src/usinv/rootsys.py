@@ -4,8 +4,12 @@ Each family's Lie algebra is a MatrixLieData, a matrix basis validated once;
 `stab.lie_stabilizer` takes any validated presentation, not only these.
 
 Conventions (fixed so that the worked examples are exact test vectors):
-the bilinear form pairs e_i with e_{l+i} — symmetric for B/D (plus
-Q(e_n, e_n) = 1 when n = 2l+1), antisymmetric for C.
+the bilinear form Q pairs e_i with e_{l+i} — symmetric for B/D (plus
+Q(e_n, e_n) = 1 when n = 2l+1), antisymmetric for C.  A root's generator is
+E_lead for type A and X = E_lead - Q^{-1} E_lead^T Q for B/C/D, so that
+X^T Q + Q X = 0.  Lead entries, a < b, then those of the negative roots:
+L_a - L_b (a, b), (b, a); L_a + L_b (b, l+a), (l+a, b); 2L_a (a, l+a),
+(l+a, a); L_a (a, n), (l+a, n).  A root's height is <alpha, rho-check>.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import re
 from typing import Optional
 
 from .exact import (Frozen, Matrix, Q1, RowEchelon, column_support, eij,
-                    zeros)
+                    mat_add, zeros)
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -62,26 +66,13 @@ class Root(Frozen):
         return "".join(parts)
 
     def height(self, family: str, rank: int) -> int:
-        """Sum of coefficients over the simple roots of the family."""
-        sup = dict(self.support())
-        if family == "A":
-            (i, j) = sorted(sup)
-            return j - i
-        l = rank
-        idx = sorted(sup)
-        if len(idx) == 2:
-            i, j = idx
-            if sup[i] + sup[j] == 0:
-                return j - i
-            if family == "B":
-                return 2 * l + 2 - i - j
-            if family == "C":
-                return 2 * l + 1 - i - j
-            return 2 * l - i - j  # D
-        (i,) = idx
-        if sup[i] == 1:  # short root of B
-            return l - i + 1
-        return 2 * (l - i) + 1  # long root 2L_i of C
+        """<alpha, rho-check>: twice rho-check is 2(n - i) on L_i for A,
+        and on L_i, i <= l, 2(l - i + 1) for B, 2(l - i) + 1 for C and
+        2(l - i) for D; a root pairs with it to an even sum."""
+        top = {"A": self.n, "B": rank + 1}.get(family, rank)
+        width = self.n if family == "A" else rank
+        return sum(c * (2 * (top - i) + (family == "C"))
+                   for i, c in enumerate(self.coeffs[:width], 1)) // 2
 
     def __repr__(self) -> str:
         return f"Root({self.name()})"
@@ -128,28 +119,21 @@ def positive_roots(family: str, rank: int) -> RootSystem:
     if rank < 1 or (family == "D" and rank < 2):
         raise RootSystemError(f"unsupported rank {rank} for family {family}")
     n = ambient_dim(family, rank)
-    roots = []
+    width = n if family == "A" else rank
 
-    def vec(pairs):
+    def vec(*pairs):
         v = [0] * n
         for i, c in pairs:
             v[i - 1] = c
         return Root(tuple(v))
 
-    if family == "A":
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            roots.append(vec([(i, 1), (j, -1)]))
-    else:
-        l = rank
-        for i, j in itertools.combinations(range(1, l + 1), 2):
-            roots.append(vec([(i, 1), (j, -1)]))
-            roots.append(vec([(i, 1), (j, 1)]))
-        if family == "B":
-            for i in range(1, l + 1):
-                roots.append(vec([(i, 1)]))
-        if family == "C":
-            for i in range(1, l + 1):
-                roots.append(vec([(i, 2)]))
+    pairs = list(itertools.combinations(range(1, width + 1), 2))
+    roots = [vec((i, 1), (j, -1)) for i, j in pairs]
+    if family != "A":
+        roots += [vec((i, 1), (j, 1)) for i, j in pairs]
+    if family in ("B", "C"):  # short roots L_i of B, long roots 2L_i of C
+        roots += [vec((i, 2 if family == "C" else 1))
+                  for i in range(1, width + 1)]
     roots.sort(key=lambda r: r.coeffs)
     return RootSystem(family, rank, n, tuple(roots))
 
@@ -162,19 +146,15 @@ def bilinear_form(family: str, rank: int) -> Optional[Matrix]:
     l = rank
     Q = zeros(n)
     for i in range(l):
-        if family == "C":
-            Q[i][l + i] = Q1
-            Q[l + i][i] = -Q1
-        else:
-            Q[i][l + i] = Q1
-            Q[l + i][i] = Q1
+        Q[i][l + i] = Q1
+        Q[l + i][i] = -Q1 if family == "C" else Q1
     if family == "B":
         Q[n - 1][n - 1] = Q1
     return Q
 
 
 def root_subgroup_matrix(family: str, rank: int, root: Root) -> Matrix:
-    """Nilpotent generator g_alpha in the fixed basis.
+    """Nilpotent generator g_alpha in the fixed basis, from its lead entry.
 
     exp(t*g_alpha) lies in the group: determinant 1, and for B/C/D the
     identity Q(gv, gw) = Q(v, w) holds exactly.
@@ -182,43 +162,32 @@ def root_subgroup_matrix(family: str, rank: int, root: Root) -> Matrix:
     n = ambient_dim(family, rank)
     if root.n != n:
         raise RootSystemError("root has wrong ambient dimension")
-    roots = positive_roots(family, rank).positive_roots
-    if root not in roots and -root not in roots:
-        raise RootSystemError(f"{root.name()} is not a root of {family}{rank}")
-    sup = dict(root.support())
-    if family == "A":
-        (i, j) = sorted(sup)
-        return eij(n, i, j) if sup[i] == 1 else eij(n, j, i)
+    root_index(family, rank, root)  # refuses a vector that is not a root
+    (a, c), *rest = root.support()
     l = rank
-    idx = sorted(sup)
-    if len(idx) == 2:
-        a, b = idx
-        ca, cb = sup[a], sup[b]
-        if ca + cb == 0:
-            if ca == 1:  # L_a - L_b
-                return _pair(n, (a, b), (l + b, l + a))
-            return _pair(n, (b, a), (l + a, l + b))
-        sign = Q1 if family == "C" else -Q1
-        if ca == 1:  # L_a + L_b
-            return _pair(n, (b, l + a), (a, l + b), sign)
-        # -(L_a + L_b)
-        return _pair(n, (l + a, b), (l + b, a), sign)
-    (a,) = idx
-    c = sup[a]
-    if family == "C":
-        if c == 2:
-            return eij(n, a, l + a)
-        return eij(n, l + a, a)
-    # short roots of B
-    if c == 1:
-        return _pair(n, (a, n), (n, l + a))
-    return _pair(n, (l + a, n), (n, a))
+    if rest and c + rest[0][1] == 0:  # +-(L_a - L_b), every root of A
+        lead = (a, rest[0][0])
+    elif rest:  # +-(L_a + L_b), a < b
+        lead = (rest[0][0], l + a)
+    elif family == "C":  # +-2L_a
+        lead = (a, l + a)
+    else:  # +-L_a of B: (a, n), and (l + a, n) once flipped
+        lead = (a, n) if c > 0 else (n, l + a)
+    if c < 0:
+        lead = lead[::-1]
+    return eij(n, *lead) if family == "A" else _form_part(family, rank, *lead)
 
 
-def _pair(n: int, first: tuple, second: tuple, c=-Q1) -> Matrix:
-    """E_first + c * E_second for two distinct 1-based positions."""
-    M = eij(n, *first)
-    M[second[0] - 1][second[1] - 1] = c
+def _form_part(family: str, rank: int, i: int, j: int) -> Matrix:
+    """X = E_ij - Q^{-1} E_ji Q.  Q is monomial, row i holding q_{i'} at
+    column i', so the second term is (q_{i'} / q_{j'}) E_{j'i'}, and no
+    matrix product is needed.  Where both terms fall on one entry (the long
+    roots 2L_a of C, X = 2 E_ij) only E_ij is kept."""
+    Q = bilinear_form(family, rank)
+    i2, j2 = (next(k for k, q in enumerate(Q[m - 1]) if q) for m in (i, j))
+    M = eij(len(Q), i, j)
+    if (j2, i2) != (i - 1, j - 1):
+        M[j2][i2] = -Q[i - 1][i2] / Q[j - 1][j2]
     return M
 
 
@@ -289,7 +258,8 @@ class MatrixLieData(Frozen):
 
 @functools.cache
 def lie_algebra(family: str, rank: int) -> MatrixLieData:
-    """The standard presentation of sl/so/sp as MatrixLieData.  Memoized:
+    """The standard presentation of sl/so/sp as MatrixLieData; the form check
+    of MatrixLieData confirms each B/C/D element derived from Q.  Memoized:
     built and validated once per (family, rank) per process and shared by
     every caller, which must not mutate it.
 
@@ -298,10 +268,11 @@ def lie_algebra(family: str, rank: int) -> MatrixLieData:
     """
     n = ambient_dim(family, rank)
     if family == "A":
-        torus = tuple(_pair(n, (i, i), (i + 1, i + 1)) for i in range(1, n))
+        torus = tuple(mat_add(eij(n, i, i), eij(n, i + 1, i + 1, -Q1))
+                      for i in range(1, n))
     else:
-        l = rank
-        torus = tuple(_pair(n, (i, i), (l + i, l + i)) for i in range(1, l + 1))
+        torus = tuple(_form_part(family, rank, i, i)
+                      for i in range(1, rank + 1))
     system = positive_roots(family, rank)
     basis = list(torus)
     for root in system.positive_roots:

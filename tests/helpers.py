@@ -1,7 +1,8 @@
 """Independent oracles for the test suite: brute-force enumeration, dense
 rational elimination, an independent derivation on dense exponent vectors,
-GL_n dimensions by the hook content formula, and a direct tensor expansion
-of weighted points.
+GL_n dimensions by the hook content formula, a direct tensor expansion
+of weighted points, and the root generators and heights as hand-written
+tables.
 
 These deliberately avoid the production code paths they are used to check;
 two exceptions reuse a production step on purpose.  `whole_matrix_nullspace`
@@ -201,6 +202,63 @@ def pair_generators(subset):
         M[i - 1][j - 1] = Q1
         out.append(M)
     return out
+
+
+# ---------------------------------------------------------------------------
+# root generators and heights by hand-written tables
+# ---------------------------------------------------------------------------
+
+def oracle_root_matrix(family, rank, root):
+    """The generator of a root, spelled out case by case: every entry of
+    every B/C/D pattern and its sign written by hand.  Form e_i <-> e_{l+i}
+    (antisymmetric for C, plus e_n <-> e_n for B)."""
+    n = ambient_dim(family, rank)
+    l = rank
+    M = [[Q0] * n for _ in range(n)]
+
+    def put(*entries):
+        for (i, j), c in entries:
+            M[i - 1][j - 1] = Fraction(c)
+        return M
+
+    sup = dict(root.support())
+    idx = sorted(sup)
+    if family == "A":
+        i, j = idx
+        return put(((i, j), 1) if sup[i] == 1 else ((j, i), 1))
+    if len(idx) == 2:
+        a, b = idx
+        if sup[a] + sup[b] == 0:
+            if sup[a] == 1:                       # L_a - L_b
+                return put(((a, b), 1), ((l + b, l + a), -1))
+            return put(((b, a), 1), ((l + a, l + b), -1))
+        sign = 1 if family == "C" else -1
+        if sup[a] == 1:                           # L_a + L_b
+            return put(((b, l + a), 1), ((a, l + b), sign))
+        return put(((l + a, b), 1), ((l + b, a), sign))
+    (a,) = idx
+    if family == "C":                             # +-2L_a
+        return put(((a, l + a) if sup[a] == 2 else (l + a, a), 1))
+    if sup[a] == 1:                               # L_a of B
+        return put(((a, n), 1), ((n, l + a), -1))
+    return put(((l + a, n), 1), ((n, a), -1))
+
+
+def oracle_height(family, rank, root):
+    """Height of a positive root, case by case per family and root shape."""
+    sup = dict(root.support())
+    idx = sorted(sup)
+    l = rank
+    if family == "A":
+        i, j = idx
+        return j - i
+    if len(idx) == 2:
+        i, j = idx
+        if sup[i] + sup[j] == 0:
+            return j - i
+        return {"B": 2 * l + 2, "C": 2 * l + 1, "D": 2 * l}[family] - i - j
+    (i,) = idx
+    return l - i + 1 if sup[i] == 1 else 2 * (l - i) + 1
 
 
 def is_strictly_triangular(M, sigma):

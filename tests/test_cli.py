@@ -287,6 +287,9 @@ def test_unwritable_out_refused(tmp_path, capsys):
         assert captured.out == ""
 
 
+N3 = ["--n", "3", "--pairs", "1:2"]
+
+
 def test_point_weighted(capsys):
     code, out = _run_capture(capsys, [
         "point", "--family", "A", "--n", "4", "--pairs", "1:3,2:4",
@@ -296,16 +299,56 @@ def test_point_weighted(capsys):
     assert report["results"]["weighted"] is True
     assert report["results"]["alpha"] == {
         "S_1": 1, "S_2": 7, "S_3": 45, "S_4": 363}
+    # an explicit alpha that meets the growth condition is accepted
+    code, out = _run_capture(capsys, ["screen"] + N3 + [
+        "--alpha", "1,7,45", "--radius", "1"])
+    assert code == EXIT_PASS
+    assert json.loads(out)["results"]["alpha"] == [1, 7, 45]
+    code, out = _run_capture(capsys, ["stab"] + N3 + ["--weighted", "1,7,45"])
+    assert code == EXIT_PASS
+    assert json.loads(out)["results"]["stabilizer"]["equals_uS"] is True
+
+
+EMPTY_ALPHA = ("cannot parse alpha ''; use 'minimal', 'none', or a comma "
+               "list of integers")
 
 
 @pytest.mark.parametrize("command", [
-    ["point"], ["stab"], ["limit", "--cochar", "1,0,-1"]])
-def test_empty_weighted_refused(command, capsys):
     # an empty --weighted used to fall through to --alpha and build a plain
     # point with exit 0 (exit 1 for limit), as `--weighted none` does
-    assert _exit_code(command + ["--n", "3", "--pairs", "1:2",
-                                 "--weighted", ""]) == EXIT_USAGE
-    assert "cannot parse alpha ''" in capsys.readouterr().err
+    (["point"] + N3 + ["--weighted", ""], EMPTY_ALPHA),
+    (["stab"] + N3 + ["--weighted", ""], EMPTY_ALPHA),
+    (["limit", "--cochar", "1,0,-1"] + N3 + ["--weighted", ""], EMPTY_ALPHA),
+    # explicit alphas, index sets, cocharacters and pairs that no other
+    # CLI test refuses
+    (["screen"] + N3 + ["--alpha", "1,1,1", "--radius", "1"],
+     "alpha does not satisfy the growth condition"),
+    (["screen"] + N3 + ["--alpha", "1,7", "--radius", "1"],
+     "alpha does not satisfy the growth condition"),
+    (["point"] + N3 + ["--weighted", "1,2"],
+     "alpha length must match the index set"),
+    (["point"] + N3 + ["--weighted", "0,7,45"],
+     "alpha entries must be positive integers"),
+    (["point"] + N3 + ["--index-set", "1,1"], "index set has repeats"),
+    (["point"] + N3 + ["--index-set", "4"], "invalid index set (4,)"),
+    (["limit"] + N3 + ["--cochar", "1,1,1"],
+     "type A weights must sum to zero"),
+    (["limit"] + N3 + ["--cochar", "1,-1"], "weight length mismatch"),
+    ("limit --family B --l 2 --roots L1 --cochar 1,0,1,0,0".split(),
+     "weights must satisfy w_{l+i} = -w_i"),
+    ("limit --family B --l 2 --roots L1 --cochar 1,0,-1,0,1".split(),
+     "type B needs w_n = 0"),
+    ("limit --family C --l 2 --roots 2L1 --cochar 1,0,-1".split(),
+     "weight vector has wrong length"),
+    ("stab --n 3 --pairs 1:4".split(), "pair (1,4) out of range for n=3"),
+    ("stab --n 3 --pairs 2:2".split(), "diagonal pair (2,2) is not allowed"),
+])
+def test_empty_weighted_refused(command, capsys):
+    """Each input exits 3 with the one stderr line `usage error: <message>`;
+    the first three, empty --weighted values, name the test."""
+    argv, message = command
+    assert _exit_code(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_point_index_set(capsys):

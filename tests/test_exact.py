@@ -29,7 +29,6 @@ def test_poly_arithmetic():
     assert f == a * a - b * b
     assert f - f == 0
     assert not GradedPoly.const(0)
-    assert GradedPoly.const(Fraction(3, 2)).constant_value() == Fraction(3, 2)
 
 
 def test_poly_substitute():

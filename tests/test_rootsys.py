@@ -6,12 +6,18 @@ from fractions import Fraction
 from usinv.exact import (column_support, eij, exp_nilpotent, mat_add,
                          mat_is_zero, mat_mul, mat_scale, zeros)
 from usinv.rootsys import (MatrixLieData, Root, RootSystemError,
-                           bilinear_form,
+                           ambient_dim, bilinear_form,
                            flag_permutation,
                            lie_algebra, parse_root, positive_roots,
                            root_index, root_subgroup_matrix,
                            root_system_to_json)
-from helpers import cofactor_det, is_strictly_triangular, transpose
+from helpers import (cofactor_det, is_strictly_triangular, oracle_height,
+                     oracle_root_matrix, transpose)
+
+# every family and rank the hand-written oracles are compared on
+ORACLE_CASES = ([("A", r) for r in range(1, 7)]
+                + [(f, r) for f in ("B", "C") for r in range(1, 6)]
+                + [("D", r) for r in range(2, 6)])
 
 
 def test_positive_root_counts():
@@ -72,13 +78,23 @@ def _q_compatible(family, rank, g):
 
 
 def test_root_matrices_q_compatible():
-    for family, ranks in (("B", (1, 2, 3)), ("C", (1, 2, 3)), ("D", (2, 3))):
-        for rank in ranks:
-            system = positive_roots(family, rank)
-            for root in system.positive_roots:
-                for r in (root, -root):
-                    g = root_subgroup_matrix(family, rank, r)
-                    assert _q_compatible(family, rank, g), (family, rank, r)
+    """Every generator of +-alpha for A1-A6, B1-B5, C1-C5 and D2-D5, and
+    every torus element, equals the hand-written table entry for entry, and
+    each B/C/D one is skew for Q."""
+    for family, rank in ORACLE_CASES:
+        n = ambient_dim(family, rank)
+        for root in positive_roots(family, rank).positive_roots:
+            for r in (root, -root):
+                g = root_subgroup_matrix(family, rank, r)
+                assert g == oracle_root_matrix(family, rank, r), (family, r)
+                assert family == "A" or _q_compatible(family, rank, g)
+        # E_ii - E_{i+1,i+1} for A, E_ii - E_{l+i,l+i} for B/C/D
+        step = 1 if family == "A" else rank
+        for i, T in enumerate(lie_algebra(family, rank).torus_basis, 1):
+            want = zeros(n)
+            want[i - 1][i - 1], want[i + step - 1][i + step - 1] = 1, -1
+            assert T == want, (family, rank, i)
+            assert family == "A" or _q_compatible(family, rank, T)
 
 
 def test_exponential_lies_in_group():
@@ -133,6 +149,10 @@ def test_heights():
     assert parse_root("L1", 5).height("B", 2) == 2
     assert parse_root("L1+L2", 5).height("B", 2) == 3
     assert parse_root("L1-L4", 4).height("A", 3) == 3
+    for family, rank in ORACLE_CASES:
+        for root in positive_roots(family, rank).positive_roots:
+            assert root.height(family, rank) == oracle_height(
+                family, rank, root), (family, rank, root)
 
 
 def test_parse_root_rejects_junk():
